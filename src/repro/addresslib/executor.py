@@ -88,12 +88,6 @@ def plane_pixels_420(fmt: ImageFormat, channel: Channel) -> int:
 # Vectorised functional executor
 # ---------------------------------------------------------------------------
 
-try:
-    from numpy.lib.stride_tricks import sliding_window_view
-except ImportError:  # pragma: no cover - numpy < 1.20
-    sliding_window_view = None  # type: ignore[assignment]
-
-
 def _clamped_shift(plane: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """The plane shifted so element (y, x) holds plane[y+dy, x+dx], borders
     replicated (the AddressLib clamp policy)."""
@@ -110,41 +104,51 @@ def neighbourhood_stack_shifted(plane: np.ndarray,
                                 ) -> np.ndarray:
     """Reference implementation: one padded copy per offset.
 
-    Kept as the golden reference for :func:`neighbourhood_stack` (and
-    as the fallback where numpy lacks ``sliding_window_view``): a CON_8
-    intra materializes nine padded planes here versus one there.
+    Kept as the golden reference for :func:`neighbourhood_views`: a
+    CON_8 intra materializes nine padded planes here versus one there.
     """
     return np.stack([_clamped_shift(plane, dx, dy)
                      for dx, dy in neighbourhood.offsets])
 
 
-def neighbourhood_stack(plane: np.ndarray,
-                        neighbourhood: Neighbourhood) -> np.ndarray:
-    """Stack of clamped-shifted planes, one per neighbourhood offset.
+def neighbourhood_views(plane: np.ndarray, neighbourhood: Neighbourhood
+                        ) -> Tuple[np.ndarray, ...]:
+    """Clamped-shifted planes, one zero-copy view per neighbourhood offset.
 
     Pads the plane *once* over the neighbourhood's bounding box
-    (edge-replicated, the AddressLib clamp policy) and takes each
-    offset's plane as a ``sliding_window_view`` window of the padded
-    buffer -- bit-identical to :func:`neighbourhood_stack_shifted`
-    without its per-offset padded copies.
+    (edge-replicated, the AddressLib clamp policy) and slices each
+    offset's plane out of the padded buffer -- view ``i`` is
+    bit-identical to plane ``i`` of :func:`neighbourhood_stack_shifted`,
+    but nothing is stacked: an intra op sums or folds the shifted views
+    directly, the way a pixel-processor array shifts one loaded array.
     """
-    if sliding_window_view is None:
-        return neighbourhood_stack_shifted(plane, neighbourhood)
     offsets = neighbourhood.offsets
-    if len(offsets) == 1:  # CON_0: the stack is the plane itself
-        dx, dy = offsets[0]
-        if dx == 0 and dy == 0:
-            return plane[np.newaxis]
+    if offsets == ((0, 0),):  # CON_0: the plane itself
+        return (plane,)
+    height, width = plane.shape
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
     pad_top = max(0, -min_dy)
-    pad_bottom = max(0, max_dy)
     pad_left = max(0, -min_dx)
-    pad_right = max(0, max_dx)
-    padded = np.pad(plane, ((pad_top, pad_bottom),
-                            (pad_left, pad_right)), mode="edge")
-    windows = sliding_window_view(padded, plane.shape)
-    return np.stack([windows[pad_top + dy, pad_left + dx]
-                     for dx, dy in offsets])
+    # The edge pad by hand: np.pad's setup costs more than the copy.
+    padded = np.empty((height + pad_top + max(0, max_dy),
+                       width + pad_left + max(0, max_dx)), plane.dtype)
+    body = padded[pad_top:pad_top + height]
+    body[:, pad_left:pad_left + width] = plane
+    body[:, :pad_left] = plane[:, :1]
+    body[:, pad_left + width:] = plane[:, -1:]
+    padded[:pad_top] = body[0]
+    padded[pad_top + height:] = body[-1]
+    return tuple(padded[pad_top + dy:pad_top + dy + height,
+                        pad_left + dx:pad_left + dx + width]
+                 for dx, dy in offsets)
+
+
+def neighbourhood_stack(plane: np.ndarray,
+                        neighbourhood: Neighbourhood) -> np.ndarray:
+    """The :func:`neighbourhood_views` planes stacked into one
+    ``(taps, height, width)`` array (a copy) -- for callers that want
+    an ndarray; intra ops take the views as they are."""
+    return np.stack(neighbourhood_views(plane, neighbourhood))
 
 
 class VectorExecutor:
@@ -171,9 +175,9 @@ class VectorExecutor:
         """Neighbourhood ``op`` over one frame, borders clamped."""
         result = frame.copy()
         for channel in channels_of(channels):
-            stack = neighbourhood_stack(frame.plane(channel),
-                                        op.neighbourhood)
-            result.plane(channel)[:] = op.apply_vector(stack)
+            planes = neighbourhood_views(frame.plane(channel),
+                                         op.neighbourhood)
+            result.plane(channel)[:] = op.apply_vector(planes)
         return result
 
     @staticmethod

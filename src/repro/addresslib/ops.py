@@ -13,12 +13,16 @@ Each operation carries three executable faces kept consistent by tests:
 1. ``scalar`` -- per-pixel reference semantics (drives the counted
    software model of Table 2 and the cycle-level engine's stage 3);
 2. ``vector`` -- numpy bulk semantics (drives the fast functional
-   executors used by GME and the examples);
+   executors used by GME and the examples).  An intra op's vector face
+   takes a sequence of equal-shape planes, one per neighbourhood
+   offset (an ndarray stack ``(taps, H, W)`` qualifies): FIR ops
+   shift-and-accumulate the nonzero taps, min/max ops fold pairwise;
 3. ``cost`` -- per-pixel-per-channel processing instructions
    (:class:`~repro.addresslib.profiling.InstructionCost`; the executor
    adds the addressing cost on top).
 
-All 8-bit channel math saturates to [0, 255]; intermediates use int32.
+All 8-bit channel math saturates to [0, 255]; intermediates use int32
+(a FIR whose weights could overflow it widens to int64).
 """
 
 from __future__ import annotations
@@ -48,8 +52,40 @@ class ChannelSet(Enum):
 
 
 def _sat8(values: np.ndarray) -> np.ndarray:
-    """Saturate an int array to the 8-bit channel range."""
-    return np.clip(values, 0, 255).astype(np.uint8)
+    """Saturate an int array to the 8-bit channel range (clipping
+    ``values`` in place: callers pass a scratch array)."""
+    return np.clip(values, 0, 255, out=values).astype(np.uint8)
+
+
+def _weighted_sum(planes: Sequence[np.ndarray], weights: Sequence[int],
+                  dtype: type = np.int32) -> np.ndarray:
+    """Shift-and-accumulate ``sum(w * plane)`` over the nonzero taps.
+
+    Returns a fresh ``dtype`` accumulator; unit weights add or subtract
+    the plane directly, other weights go through one scratch product.
+    """
+    acc = np.zeros(planes[0].shape, dtype)
+    term = None
+    for weight, plane in zip(weights, planes):
+        if weight == 1:
+            np.add(acc, plane, out=acc)
+        elif weight == -1:
+            np.subtract(acc, plane, out=acc)
+        elif weight:
+            if term is None:
+                term = np.empty_like(acc)
+            np.multiply(plane, weight, out=term, dtype=dtype)
+            acc += term
+    return acc
+
+
+def _fold(ufunc: np.ufunc, planes: Sequence[np.ndarray]) -> np.ndarray:
+    """Pairwise ``ufunc`` fold (``np.minimum``/``np.maximum``) of the
+    planes into one fresh array."""
+    out = ufunc(planes[0], planes[-1])
+    for plane in planes[1:-1]:
+        ufunc(out, plane, out=out)
+    return out
 
 
 def _sat8_scalar(value: float) -> int:
@@ -79,15 +115,17 @@ class IntraOp:
     """A neighbourhood operation within one frame.
 
     ``scalar`` receives the neighbourhood values in the order of
-    ``neighbourhood.offsets``; ``vector`` receives a stack shaped
-    ``(len(offsets), height, width)`` where plane ``i`` is the frame
-    shifted by ``offsets[i]`` (border-clamped).
+    ``neighbourhood.offsets``; ``vector`` receives a sequence of
+    ``len(offsets)`` equal-shape planes where plane ``i`` is the frame
+    shifted by ``offsets[i]`` (border-clamped).  An ndarray stack shaped
+    ``(len(offsets), height, width)`` qualifies; the vector executor
+    passes zero-copy views.
     """
 
     name: str
     neighbourhood: Neighbourhood
     scalar: Callable[[Sequence[int]], int]
-    vector: Callable[[np.ndarray], np.ndarray]
+    vector: Callable[[Sequence[np.ndarray]], np.ndarray]
     cost: InstructionCost
     engine_cycles: int = 1
 
@@ -98,12 +136,12 @@ class IntraOp:
                 f"neighbourhood values, got {len(values)}")
         return self.scalar(values)
 
-    def apply_vector(self, stack: np.ndarray) -> np.ndarray:
-        if stack.shape[0] != self.neighbourhood.size:
+    def apply_vector(self, planes: Sequence[np.ndarray]) -> np.ndarray:
+        if len(planes) != self.neighbourhood.size:
             raise ValueError(
-                f"{self.name} expects a {self.neighbourhood.size}-plane "
-                f"stack, got {stack.shape[0]}")
-        return self.vector(stack)
+                f"{self.name} expects {self.neighbourhood.size} "
+                f"planes, got {len(planes)}")
+        return self.vector(planes)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +241,7 @@ def scale_offset_op(scale_num: int, scale_den: int, offset: int) -> IntraOp:
     def scalar(v: Sequence[int]) -> int:
         return _sat8_scalar(int(v[0]) * scale_num // scale_den + offset)
 
-    def vector(s: np.ndarray) -> np.ndarray:
+    def vector(s: Sequence[np.ndarray]) -> np.ndarray:
         return _sat8(s[0].astype(np.int64) * scale_num // scale_den + offset)
 
     return IntraOp(
@@ -224,19 +262,22 @@ def fir_op(name: str, neighbourhood: Neighbourhood,
         raise ValueError(
             f"{name}: {len(weights)} weights for "
             f"{neighbourhood.size}-pixel neighbourhood")
-    weight_arr = np.asarray(weights, dtype=np.int64)
+    weights = tuple(int(w) for w in weights)
+    # 8-bit inputs bound the accumulator by sum(|w|) * 255.
+    bound = sum(abs(w) for w in weights) * 255
+    dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
     def scalar(values: Sequence[int]) -> int:
-        acc = sum(int(w) * int(v) for w, v in zip(weights, values))
+        acc = sum(w * int(v) for w, v in zip(weights, values))
         return _sat8_scalar(acc >> shift if shift else acc)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = np.tensordot(weight_arr, stack.astype(np.int64), axes=(0, 0))
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        acc = _weighted_sum(planes, weights, dtype)
         if shift:
             acc >>= shift
         return _sat8(acc)
 
-    taps = int(np.count_nonzero(weight_arr))
+    taps = sum(1 for w in weights if w)
     return IntraOp(
         name=name, neighbourhood=neighbourhood, scalar=scalar, vector=vector,
         cost=InstructionCost(mul=taps, alu=taps + 1),
@@ -250,8 +291,11 @@ def box3_op() -> IntraOp:
     def scalar(values: Sequence[int]) -> int:
         return _sat8_scalar((sum(int(v) for v in values) * 57) >> 9)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        return _sat8((stack.astype(np.int64).sum(axis=0) * 57) >> 9)
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        acc = _weighted_sum(planes, nine)
+        acc *= 57
+        acc >>= 9
+        return _sat8(acc)
 
     return IntraOp(
         name="intra_box3", neighbourhood=CON_8, scalar=scalar, vector=vector,
@@ -263,70 +307,61 @@ def _offset_weight_map(neighbourhood: Neighbourhood,
     return tuple(mapping.get(off, 0) for off in neighbourhood.offsets)
 
 
-def sobel_x_op() -> IntraOp:
-    """Horizontal Sobel derivative, biased by +128 into the 8-bit range."""
-    weights = _offset_weight_map(CON_8, {
-        (-1, -1): -1, (1, -1): 1,
-        (-1, 0): -2, (1, 0): 2,
-        (-1, 1): -1, (1, 1): 1,
-    })
+_SOBEL_X = _offset_weight_map(CON_8, {
+    (-1, -1): -1, (1, -1): 1,
+    (-1, 0): -2, (1, 0): 2,
+    (-1, 1): -1, (1, 1): 1,
+})
+_SOBEL_Y = _offset_weight_map(CON_8, {
+    (-1, -1): -1, (0, -1): -2, (1, -1): -1,
+    (-1, 1): 1, (0, 1): 2, (1, 1): 1,
+})
 
+
+def _biased_derivative_op(name: str, weights: Tuple[int, ...],
+                          cost: InstructionCost) -> IntraOp:
+    """A signed 3x3 derivative ``(sum(w * v) >> 3) + 128``, saturated:
+    the bias centres zero response in the 8-bit range."""
     def scalar(values: Sequence[int]) -> int:
         acc = sum(w * int(v) for w, v in zip(weights, values))
         return _sat8_scalar((acc >> 3) + 128)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = np.tensordot(np.asarray(weights, np.int64),
-                           stack.astype(np.int64), axes=(0, 0))
-        return _sat8((acc >> 3) + 128)
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        acc = _weighted_sum(planes, weights)
+        acc >>= 3
+        acc += 128
+        return _sat8(acc)
 
-    return IntraOp(name="intra_sobel_x", neighbourhood=CON_8,
-                   scalar=scalar, vector=vector,
-                   cost=InstructionCost(mul=6, alu=8), engine_cycles=2)
+    return IntraOp(name=name, neighbourhood=CON_8, scalar=scalar,
+                   vector=vector, cost=cost, engine_cycles=2)
+
+
+def sobel_x_op() -> IntraOp:
+    """Horizontal Sobel derivative, biased by +128 into the 8-bit range."""
+    return _biased_derivative_op("intra_sobel_x", _SOBEL_X,
+                                 InstructionCost(mul=6, alu=8))
 
 
 def sobel_y_op() -> IntraOp:
     """Vertical Sobel derivative, biased by +128 into the 8-bit range."""
-    weights = _offset_weight_map(CON_8, {
-        (-1, -1): -1, (0, -1): -2, (1, -1): -1,
-        (-1, 1): 1, (0, 1): 2, (1, 1): 1,
-    })
-
-    def scalar(values: Sequence[int]) -> int:
-        acc = sum(w * int(v) for w, v in zip(weights, values))
-        return _sat8_scalar((acc >> 3) + 128)
-
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = np.tensordot(np.asarray(weights, np.int64),
-                           stack.astype(np.int64), axes=(0, 0))
-        return _sat8((acc >> 3) + 128)
-
-    return IntraOp(name="intra_sobel_y", neighbourhood=CON_8,
-                   scalar=scalar, vector=vector,
-                   cost=InstructionCost(mul=6, alu=8), engine_cycles=2)
+    return _biased_derivative_op("intra_sobel_y", _SOBEL_Y,
+                                 InstructionCost(mul=6, alu=8))
 
 
 def gradient_magnitude_op() -> IntraOp:
     """|Sobel_x| + |Sobel_y| over the 3x3 neighbourhood ("grad")."""
-    wx = _offset_weight_map(CON_8, {
-        (-1, -1): -1, (1, -1): 1, (-1, 0): -2, (1, 0): 2,
-        (-1, 1): -1, (1, 1): 1,
-    })
-    wy = _offset_weight_map(CON_8, {
-        (-1, -1): -1, (0, -1): -2, (1, -1): -1,
-        (-1, 1): 1, (0, 1): 2, (1, 1): 1,
-    })
-
     def scalar(values: Sequence[int]) -> int:
-        gx = sum(w * int(v) for w, v in zip(wx, values))
-        gy = sum(w * int(v) for w, v in zip(wy, values))
+        gx = sum(w * int(v) for w, v in zip(_SOBEL_X, values))
+        gy = sum(w * int(v) for w, v in zip(_SOBEL_Y, values))
         return _sat8_scalar((abs(gx) + abs(gy)) >> 3)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        planes = stack.astype(np.int64)
-        gx = np.tensordot(np.asarray(wx, np.int64), planes, axes=(0, 0))
-        gy = np.tensordot(np.asarray(wy, np.int64), planes, axes=(0, 0))
-        return _sat8((np.abs(gx) + np.abs(gy)) >> 3)
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        gx = _weighted_sum(planes, _SOBEL_X)
+        gy = _weighted_sum(planes, _SOBEL_Y)
+        np.abs(gx, out=gx)
+        gx += np.abs(gy, out=gy)
+        gx >>= 3
+        return _sat8(gx)
 
     return IntraOp(name="intra_grad", neighbourhood=CON_8,
                    scalar=scalar, vector=vector,
@@ -340,7 +375,7 @@ def erode_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_erode_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(min(v)),
-        vector=lambda s: s.min(axis=0).astype(np.uint8),
+        vector=lambda s: _fold(np.minimum, s),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -351,7 +386,7 @@ def dilate_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_dilate_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(max(v)),
-        vector=lambda s: s.max(axis=0).astype(np.uint8),
+        vector=lambda s: _fold(np.maximum, s),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -362,12 +397,15 @@ def morph_gradient_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
     The paper names "morphological gradient operations" as a canonical
     composition of basic sub-functions.
     """
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        high = _fold(np.maximum, planes)
+        return np.subtract(high, _fold(np.minimum, planes), out=high)
+
     return IntraOp(
         name=f"intra_morph_grad_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(max(v)) - int(min(v)),
-        vector=lambda s: (s.max(axis=0).astype(np.int32)
-                          - s.min(axis=0).astype(np.int32)).astype(np.uint8),
+        vector=vector,
         cost=InstructionCost(alu=2 * neighbourhood.size - 1,
                              branch=2 * (neighbourhood.size - 1)),
         engine_cycles=2)
@@ -379,8 +417,8 @@ def median3_op() -> IntraOp:
         ordered = sorted(int(v) for v in values)
         return ordered[len(ordered) // 2]
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        return np.median(stack, axis=0).astype(np.uint8)
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        return np.median(np.asarray(planes), axis=0).astype(np.uint8)
 
     return IntraOp(name="intra_median3", neighbourhood=CON_8,
                    scalar=scalar, vector=vector,
@@ -396,19 +434,8 @@ def laplace_op() -> IntraOp:
         (-1, 0): -1, (1, 0): -1,
         (-1, 1): -1, (0, 1): -1, (1, 1): -1,
     })
-
-    def scalar(values: Sequence[int]) -> int:
-        acc = sum(w * int(v) for w, v in zip(weights, values))
-        return _sat8_scalar((acc >> 3) + 128)
-
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = np.tensordot(np.asarray(weights, np.int64),
-                           stack.astype(np.int64), axes=(0, 0))
-        return _sat8((acc >> 3) + 128)
-
-    return IntraOp(name="intra_laplace", neighbourhood=CON_8,
-                   scalar=scalar, vector=vector,
-                   cost=InstructionCost(mul=9, alu=10), engine_cycles=2)
+    return _biased_derivative_op("intra_laplace", weights,
+                                 InstructionCost(mul=9, alu=10))
 
 
 def homogeneity_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
@@ -425,10 +452,15 @@ def homogeneity_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         centre = int(values[centre_index])
         return max(abs(int(v) - centre) for v in values)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        centre = stack[centre_index].astype(np.int32)
-        diffs = np.abs(stack.astype(np.int32) - centre[None])
-        return diffs.max(axis=0).astype(np.uint8)
+    def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
+        # The centre is one of the planes, so max |v - c| is the larger
+        # of max(v) - c and c - min(v): both fit uint8 unwidened.
+        centre = planes[centre_index]
+        above = _fold(np.maximum, planes)
+        above -= centre
+        below = _fold(np.minimum, planes)
+        np.subtract(centre, below, out=below)
+        return np.maximum(above, below, out=above)
 
     return IntraOp(name=f"intra_homogeneity_{neighbourhood.name}",
                    neighbourhood=neighbourhood,

@@ -41,6 +41,7 @@ Async serving (:mod:`repro.aio`) rides the same options object::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -72,7 +73,8 @@ class SubmitOptions:
 
     #: Priority class (drains strictly lower-value-first).
     priority: Priority = Priority.STANDARD
-    #: Relative completion budget in modeled seconds; ``None``: none.
+    #: Relative completion budget in modeled seconds (finite, >= 0);
+    #: ``None``: none.
     deadline_seconds: Optional[float] = None
     #: Deadline-miss re-enqueues allowed before timing out.
     max_retries: int = 0
@@ -83,7 +85,8 @@ class SubmitOptions:
     #: otherwise -- it never changes results, only routing.
     placement: Optional[int] = None
     #: Where the request sits on the modeled clock (open-loop traces);
-    #: ``None`` means "now".  Never moves the clock backwards.
+    #: ``None`` means "now".  Finite and >= 0; never moves the clock
+    #: backwards.
     arrival_seconds: Optional[float] = None
     #: Transport-sanitizer domains to arm while this work runs
     #: (``"transport"``, ``"residency"``, ``"pool"``, or ``"all"``);
@@ -97,11 +100,11 @@ class SubmitOptions:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if (self.deadline_seconds is not None
-                and self.deadline_seconds < 0):
-            raise ValueError(
-                f"deadline_seconds must be >= 0, got "
-                f"{self.deadline_seconds}")
+        for name in ("deadline_seconds", "arrival_seconds"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
         if self.sanitize is not None:
             domains = _normalize_sanitize(self.sanitize)
             object.__setattr__(self, "sanitize", domains)

@@ -186,10 +186,12 @@ class Frame:
     # -- utility ------------------------------------------------------------
 
     def copy(self) -> "Frame":
-        """Deep copy of all five planes."""
-        duplicate = Frame(self.format)
-        for channel in ALL_CHANNELS:
-            duplicate.plane(channel)[:] = self._planes[channel]
+        """Deep copy of all five planes (each one pass, C-contiguous and
+        owned -- also for a frame attached to shared memory)."""
+        duplicate = Frame.__new__(Frame)
+        duplicate.format = self.format
+        duplicate._planes = {channel: self._planes[channel].copy()
+                             for channel in ALL_CHANNELS}
         return duplicate
 
     def fill(self, pixel: Pixel) -> None:

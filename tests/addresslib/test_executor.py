@@ -71,9 +71,9 @@ class TestNeighbourhoodStack:
 
 
 class TestWindowedVsShiftedStack:
-    """The sliding-window fast path against the shifted-plane reference.
+    """The padded-view fast path against the shifted-plane reference.
 
-    The windowed implementation (one edge pad + strided views) must be
+    The view implementation (one edge pad + sliced views) must be
     bit-identical to the per-offset clamped-shift reference for every
     named neighbourhood over the corpus geometries -- it replaced the
     reference on the executor's hot path, so any divergence is a

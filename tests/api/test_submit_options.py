@@ -57,6 +57,24 @@ class TestSubmitOptionsRecord:
         with pytest.raises(ValueError):
             SubmitOptions(deadline_seconds=-0.5)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            SubmitOptions(deadline_seconds=deadline)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ValueError, match="arrival_seconds"):
+            SubmitOptions(arrival_seconds=arrival)
+
+    def test_negative_arrival_rejected(self):
+        with pytest.raises(ValueError, match="arrival_seconds"):
+            SubmitOptions(arrival_seconds=-0.001)
+
+    def test_zero_arrival_and_deadline_accepted(self):
+        options = SubmitOptions(deadline_seconds=0.0, arrival_seconds=0.0)
+        assert options.arrival_seconds == 0.0
+
 
 class TestServiceShim:
     def test_new_signature_does_not_warn(self):

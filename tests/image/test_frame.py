@@ -95,6 +95,26 @@ class TestCopyEquality:
         duplicate.aux[0, 0] += 1
         assert not duplicate.equals(frame)
 
+    def test_copy_of_attached_views_owns_contiguous_planes(self, fmt):
+        """A frame wrapping borrowed, strided, read-only buffers (the
+        shared-memory attach path) copies into owned C-contiguous
+        planes of the canonical dtypes."""
+        source = noise_frame(fmt, seed=7)
+        views = {}
+        for channel in ALL_CHANNELS:
+            wide = np.repeat(source.plane(channel), 2, axis=1)[:, ::2]
+            wide.flags.writeable = False
+            views[channel] = wide
+        attached = Frame.from_plane_views(fmt, views)
+        duplicate = attached.copy()
+        assert duplicate.equals(source)
+        for channel in ALL_CHANNELS:
+            plane = duplicate.plane(channel)
+            assert plane.flags.c_contiguous and plane.flags.owndata
+            assert plane.flags.writeable
+            assert plane.dtype == source.plane(channel).dtype
+            assert not np.shares_memory(plane, views[channel])
+
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_word_roundtrip_property(self, seed):
