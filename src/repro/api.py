@@ -14,8 +14,9 @@ keyword-only, by all three submission APIs:
 
 Each layer reads the fields it understands and ignores the rest (a
 driver has no priority queue; a library has no placement policy), so
-one options object can ride a request all the way down.  The pre-pool
-signatures still work but warn with :class:`DeprecationWarning`.
+one options object can ride a request all the way down.  Passing the
+same metadata any other way (loose keywords, extra positionals) is a
+:class:`TypeError`.
 
 Typical serving setup::
 
@@ -66,7 +67,7 @@ class SubmitOptions:
     """Everything a caller may say about one submission, in one place.
 
     All fields default to "no preference", so ``SubmitOptions()`` is
-    the neutral submission every legacy default maps onto.  The object
+    the neutral submission a bare ``submit(call)`` gets.  The object
     is frozen: build one per request (or share one across requests with
     identical metadata -- it carries no per-request state).
     """
@@ -92,8 +93,8 @@ class SubmitOptions:
     #: (``"transport"``, ``"residency"``, ``"pool"``, or ``"all"``);
     #: ``None`` leaves the sanitizer as configured (the
     #: ``REPRO_SANITIZE`` env var still applies).  Diagnostics land on
-    #: the serving scheduler's ``sanitizer_findings``; results are
-    #: never changed.
+    #: :func:`repro.analysis.sanitize.active_sanitizer`'s findings;
+    #: results are never changed.
     sanitize: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:

@@ -45,8 +45,7 @@ from ..perf.timing import EngineTimingModel
 # layer that needs it); re-exported here because admission is where
 # service code historically imported it from.
 from ..pool.pricing import call_cost_seconds
-from .policy import (AdmissionPolicy, ServicePolicy,
-                     coerce_service_policy)
+from .policy import AdmissionPolicy, ServicePolicy, check_policy
 from .request import Priority, RejectReason, ServiceRequest
 
 __all__ = [
@@ -72,21 +71,13 @@ class _RateEstimate:
 
 
 class AdmissionController:
-    """Prices requests and sheds the ones the backlog would drown.
-
-    Configure with ``policy=ServicePolicy(...)``; the pre-tenancy
-    ``policy=AdmissionPolicy(...)`` spelling still works but warns
-    with :class:`DeprecationWarning`.
-    """
+    """Prices requests and sheds the ones the backlog would drown."""
 
     def __init__(self, timing: Optional[EngineTimingModel] = None,
-                 policy: object = None,
+                 policy: Optional[ServicePolicy] = None,
                  special_inter_ops: FrozenSet[str] = frozenset()) -> None:
         self.timing = timing or EngineTimingModel()
-        self.service_policy: ServicePolicy = coerce_service_policy(
-            policy, owner="AdmissionController", legacy={})
-        #: Legacy alias: the load-shedding budget knobs.
-        self.policy: AdmissionPolicy = self.service_policy.admission
+        self.service_policy = check_policy(policy, "AdmissionController")
         self.special_inter_ops = special_inter_ops
         #: Requests shed, by reason value (for the service report).
         self.shed_by_reason: Dict[str, int] = {}

@@ -99,14 +99,16 @@ def health_section() -> str:
     """Engine + cache + service health in one table.
 
     One chained workload exercises the :class:`FrameResidencyCache`
-    (hits, on-board result reuse, misses, evictions); a burst of
-    service requests through :class:`~repro.api.EngineService`
-    exercises admission, micro-batching and the latency books.  All
-    figures are modeled (deterministic), like the rest of the summary.
+    (on-board result reuse, misses, evictions); a burst of service
+    requests through :class:`~repro.api.EngineService` on a 4-board
+    pool exercises admission, micro-batching, the boards' residency
+    hits and the latency books.  All figures are modeled
+    (deterministic), like the rest of the summary.
     """
     from .addresslib import (BatchCall, AddressLib, INTER_ABSDIFF,
                              INTRA_BOX3, INTRA_GRAD)
-    from .api import AdmissionPolicy, EngineService, ServicePolicy
+    from .api import (AdmissionPolicy, EnginePool, EngineService,
+                      ServicePolicy)
     from .host import EngineBackend
 
     frame = blob_frame(QCIF, [(30, 30), (100, 80)], radius=16)
@@ -119,13 +121,16 @@ def health_section() -> str:
     cache = backend.residency
 
     service = EngineService(
-        lib=lib, virtual_engines=4,
+        pool=EnginePool.of_engines(4),
         policy=ServicePolicy(
             max_batch=4,
             admission=AdmissionPolicy(deadline_budget_seconds=0.02)))
     for _ in range(12):
         service.submit(BatchCall.intra(INTRA_GRAD, frame))
     report = service.drain()
+    assert report.pool is not None
+    boards = report.pool.workers
+    hit_rate = report.pool.residency_hit_rate
 
     return format_table(
         ["signal", "value"],
@@ -141,13 +146,15 @@ def health_section() -> str:
           f"{report.queue_high_water} / {service.queue.max_depth}"),
          ("dispatch waves / coalesced requests",
           f"{report.waves} / {report.coalesced_requests}"),
-         ("overlap efficiency (4 modeled engines)",
+         ("pool residency hit rate",
+          "--" if hit_rate is None else f"{100 * hit_rate:.1f}%"),
+         ("overlap efficiency (4-board pool)",
           f"{100 * report.overlap_efficiency:.1f}%"),
          ("modeled latency p50 / p95",
           f"{_ms(report.latency.p50)} / {_ms(report.latency.p95)}"),
-         ("driver calls submitted / shed",
-          f"{backend.driver.calls_submitted} / "
-          f"{backend.driver.calls_shed}")],
+         ("pool driver calls submitted / shed",
+          f"{sum(w.calls_submitted for w in boards)} / "
+          f"{sum(w.calls_shed for w in boards)}")],
         title="Engine / cache / service health (modeled)")
 
 

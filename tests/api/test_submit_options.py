@@ -1,12 +1,11 @@
-"""The unified submission surface: SubmitOptions and its legacy shims.
+"""The unified submission surface: SubmitOptions, and nothing else.
 
 One frozen options record carries every piece of serving metadata
 (priority, deadline, retries, tenant, placement, arrival) across all
 three submission layers -- ``EngineService.submit``,
-``AddressLib.run_batch`` and ``AddressEngineDriver.submit``.  The old
-per-layer signatures still run bit-identically, but each warns with
-:class:`DeprecationWarning`; mixing old and new in one call is a
-:class:`TypeError`.
+``AddressLib.run_batch`` and ``AddressEngineDriver.submit`` -- and one
+:class:`~repro.api.ServicePolicy` carries every serving knob.  Every
+older per-layer spelling is a :class:`TypeError`.
 """
 
 import dataclasses
@@ -15,11 +14,12 @@ import warnings
 import pytest
 
 from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
-from repro.api import (EnginePool, EngineService, Priority,
-                       SubmitOptions)
+from repro.api import (AdmissionController, AdmissionPolicy, EnginePool,
+                       EngineService, Priority, SubmitOptions)
 from repro.core import intra_config
-from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
+from repro.host import AddressEngineDriver, EngineBackend
 from repro.image import ImageFormat, noise_frame
+from repro.service import MicroBatcher, RequestQueue
 
 QCIF = ImageFormat("QCIF", 176, 144)
 SMALL = ImageFormat("P16x16", 16, 16)
@@ -29,8 +29,8 @@ def _call(seed=0):
     return BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=seed))
 
 
-def _drain_one(service, *args, **kwargs):
-    ticket = service.submit(_call(), *args, **kwargs)
+def _drain_one(service, *args):
+    ticket = service.submit(_call(), *args)
     service.drain()
     return ticket
 
@@ -91,27 +91,6 @@ class TestServiceShim:
             warnings.simplefilter("error")
             _drain_one(service)
 
-    def test_legacy_keywords_warn_once_per_call(self):
-        service = EngineService()
-        with pytest.warns(DeprecationWarning) as caught:
-            _drain_one(service, priority=Priority.BULK,
-                       deadline_seconds=1.0)
-        assert len(caught) == 1
-
-    def test_legacy_positional_priority_warns(self):
-        service = EngineService()
-        with pytest.warns(DeprecationWarning):
-            ticket = _drain_one(service, Priority.INTERACTIVE)
-        assert ticket.priority is Priority.INTERACTIVE
-
-    def test_legacy_and_new_results_agree(self):
-        old_service, new_service = EngineService(), EngineService()
-        with pytest.warns(DeprecationWarning):
-            old = _drain_one(old_service, priority=Priority.BULK)
-        new = _drain_one(new_service,
-                         SubmitOptions(priority=Priority.BULK))
-        assert old.result().equals(new.result())
-
     def test_mixing_options_and_legacy_is_a_type_error(self):
         service = EngineService()
         with pytest.raises(TypeError):
@@ -137,24 +116,7 @@ class TestServiceShim:
         assert report.pool.workers[2].calls_routed == 1
 
 
-class TestRunBatchShim:
-    def test_positional_scheduler_warns_and_still_runs(self):
-        calls = [_call(seed) for seed in range(3)]
-        with CallScheduler(max_workers=2) as scheduler:
-            keyword_lib = AddressLib()
-            want = keyword_lib.run_batch(calls, scheduler=scheduler)
-            legacy_lib = AddressLib()
-            with pytest.warns(DeprecationWarning):
-                got = legacy_lib.run_batch(calls, scheduler)
-        for got_frame, want_frame in zip(got, want):
-            assert got_frame.equals(want_frame)
-
-    def test_positional_scheduler_plus_keyword_is_a_type_error(self):
-        with CallScheduler(max_workers=2) as scheduler:
-            with pytest.raises(TypeError):
-                AddressLib().run_batch([_call()], scheduler,
-                                       scheduler=scheduler)
-
+class TestLayerTenantBooks:
     def test_tenant_tallied_in_the_call_log(self):
         lib = AddressLib()
         lib.run_batch([_call(0), _call(1)],
@@ -164,25 +126,6 @@ class TestRunBatchShim:
         lib.log.clear()
         assert lib.log.by_tenant == {}
 
-
-class TestDriverShim:
-    def test_positional_resident_warns_and_matches_keyword(self):
-        config = intra_config(INTRA_GRAD, SMALL)
-        frame = noise_frame(SMALL, seed=3)
-        keyword = AddressEngineDriver().submit(config, frame,
-                                               resident=(False,))
-        with pytest.warns(DeprecationWarning):
-            legacy = AddressEngineDriver().submit(config, frame, None,
-                                                  (False,))
-        assert legacy.call_seconds == keyword.call_seconds
-
-    def test_positional_plus_keyword_is_a_type_error(self):
-        config = intra_config(INTRA_GRAD, SMALL)
-        frame = noise_frame(SMALL, seed=4)
-        with pytest.raises(TypeError):
-            AddressEngineDriver().submit(config, frame, None, (False,),
-                                         resident=(False,))
-
     def test_tenant_tallied_per_driver(self):
         config = intra_config(INTRA_GRAD, SMALL)
         frame = noise_frame(SMALL, seed=5)
@@ -191,6 +134,78 @@ class TestDriverShim:
                       options=SubmitOptions(tenant="lab"))
         driver.submit(config, frame)
         assert driver.calls_by_tenant == {"lab": 1}
+
+
+def _driver_call(*args):
+    config = intra_config(INTRA_GRAD, SMALL)
+    frame = noise_frame(SMALL, seed=4)
+    return AddressEngineDriver().submit(config, frame, *args)
+
+
+#: Every spelling the retired deprecation shims used to accept, by the
+#: lint rule that policed it (R1 positional scheduler, R2 loose
+#: metadata keywords, R3 extra positionals, R5 loose service knobs),
+#: plus the pre-policy queue/batcher knobs and the single-worker
+#: ``lib=``/``scheduler=``/``virtual_engines=`` service shape.
+REMOVED_SPELLINGS = [
+    pytest.param(lambda: AddressLib().run_batch([_call()], None),
+                 id="R1-run_batch-positional-scheduler"),
+    pytest.param(lambda: AddressLib().run_batch([_call()], None,
+                                                scheduler=None),
+                 id="R1-run_batch-scheduler-twice"),
+    pytest.param(lambda: EngineService().submit(
+        _call(), priority=Priority.BULK), id="R2-submit-priority"),
+    pytest.param(lambda: EngineService().submit(
+        _call(), deadline_seconds=1.0), id="R2-submit-deadline"),
+    pytest.param(lambda: EngineService().submit(
+        _call(), max_retries=1), id="R2-submit-max_retries"),
+    pytest.param(lambda: EngineService().submit(
+        _call(), arrival_seconds=0.0), id="R2-submit-arrival"),
+    pytest.param(lambda: AddressLib().run_batch(
+        [_call()], priority=Priority.BULK), id="R2-run_batch-priority"),
+    pytest.param(lambda: EngineService().submit(
+        _call(), Priority.BULK, 1.0), id="R3-submit-positionals"),
+    pytest.param(lambda: _driver_call(None, (False,)),
+                 id="R3-driver-positional-resident"),
+    pytest.param(lambda: _driver_call(None, (False,), 0),
+                 id="R3-driver-positional-copy-cycles"),
+    pytest.param(lambda: EngineService(queue_depth=8),
+                 id="R5-service-queue_depth"),
+    pytest.param(lambda: EngineService(max_batch=2),
+                 id="R5-service-max_batch"),
+    pytest.param(lambda: EngineService(policy=AdmissionPolicy(0.05)),
+                 id="R5-service-admission-policy"),
+    pytest.param(lambda: AdmissionController(
+        policy=AdmissionPolicy(0.05)), id="R5-admission-policy"),
+    pytest.param(lambda: RequestQueue(max_depth=8),
+                 id="queue-max_depth"),
+    pytest.param(lambda: MicroBatcher(max_batch=2),
+                 id="batcher-max_batch"),
+    pytest.param(lambda: EngineService(lib=AddressLib()),
+                 id="service-lib"),
+    pytest.param(lambda: EngineService(scheduler=None),
+                 id="service-scheduler"),
+    pytest.param(lambda: EngineService(virtual_engines=4),
+                 id="service-virtual_engines"),
+    pytest.param(lambda: EngineService(EnginePool.of_engines(1)),
+                 id="service-positional-pool"),
+]
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("spell", REMOVED_SPELLINGS)
+    def test_raises(self, spell):
+        with pytest.raises(TypeError):
+            spell()
+
+    def test_positional_priority_is_refused_at_entry(self):
+        """``submit(call, Priority.X)`` used to be read as a legacy
+        positional priority; it is refused before anything is priced,
+        queued or counted."""
+        service = EngineService()
+        with pytest.raises(TypeError, match="SubmitOptions"):
+            service.submit(_call(), Priority.INTERACTIVE)
+        assert service.report().submitted == 0
 
 
 class TestFacadeExports:

@@ -1,4 +1,4 @@
-"""Tenant fairness: WFQ drain order, quotas, SLO books, policy shims.
+"""Tenant fairness: WFQ drain order, quotas, SLO books, policy object.
 
 The tenancy redesign must change *scheduling*, never *results*: the
 weighted-fair queue interleaves tenants by policy weight inside each
@@ -6,8 +6,7 @@ priority class (collapsing to exact FIFO for untagged work), quotas
 shed with an explicit ``TENANT_QUOTA`` reason, the shedding books
 balance per tenant, and the whole 0xFA57 corpus stays bit-exact with
 fairness enabled.  The ``ServicePolicy`` object is the one legal
-spelling of the knobs; every legacy constructor keyword still works
-but warns exactly once.
+spelling of the knobs; any other ``policy=`` is a ``TypeError``.
 """
 
 import asyncio
@@ -368,21 +367,11 @@ class TestPolicyObject:
             AdmissionController(policy=ServicePolicy())
 
     @pytest.mark.parametrize("build", [
-        lambda: EngineService(queue_depth=8),
-        lambda: EngineService(max_batch=2),
-        lambda: EngineService(policy=AdmissionPolicy(0.05)),
-        lambda: RequestQueue(max_depth=8),
-        lambda: MicroBatcher(max_batch=2),
-        lambda: AdmissionController(policy=AdmissionPolicy(0.05)),
-    ])
-    def test_legacy_spellings_warn_once(self, build):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "ServicePolicy" in str(deprecations[0].message)
+        EngineService, RequestQueue, MicroBatcher, AdmissionController,
+    ], ids=lambda build: build.__name__)
+    def test_non_service_policy_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="ServicePolicy"):
+            build(policy=AdmissionPolicy(0.05))
 
     def test_mixing_policy_and_legacy_kwargs_raises(self):
         with pytest.raises(TypeError):
@@ -392,11 +381,9 @@ class TestPolicyObject:
         with pytest.raises(TypeError):
             MicroBatcher(max_batch=4, policy=ServicePolicy())
 
-    def test_legacy_values_fold_into_the_policy(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            service = EngineService(queue_depth=5, max_batch=3,
-                                    policy=AdmissionPolicy(0.07))
+    def test_policy_values_reach_every_component(self):
+        service = EngineService(policy=ServicePolicy(
+            queue_depth=5, max_batch=3, admission=AdmissionPolicy(0.07)))
         assert service.policy.queue_depth == 5
         assert service.policy.max_batch == 3
         assert (service.policy.admission.deadline_budget_seconds

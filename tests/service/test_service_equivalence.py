@@ -1,6 +1,6 @@
 """Service-vs-serial bit-exactness over the randomized corpus.
 
-The service may admit, reorder (by priority), coalesce and shard
+The service may admit, reorder (by priority), coalesce and route
 requests -- but each ticket's result must be *exactly* what a direct
 serial ``AddressLib``/``VectorExecutor`` call on the same frames
 produces.  Same 0xFA57 corpus recipe as the scheduler and fast-path
@@ -11,11 +11,10 @@ import random
 
 import pytest
 
-from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
-                              SoftwareBackend, VectorExecutor)
-from repro.host import CallScheduler, EngineBackend
+from repro.addresslib import BatchCall, INTER_OPS, INTRA_OPS, VectorExecutor
+from repro.api import EnginePool, SubmitOptions
 from repro.image import ImageFormat, noise_frame
-from repro.service import EngineService, Priority
+from repro.service import EngineService, Priority, ServicePolicy
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -65,8 +64,9 @@ class TestCorpusEquivalence:
         rng = random.Random(0xFA57 + shard)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
         priorities = [rng.choice(list(Priority)) for _ in calls]
-        service = EngineService(queue_depth=len(calls))
-        tickets = [service.submit(call, priority=priority)
+        service = EngineService(
+            policy=ServicePolicy(queue_depth=len(calls)))
+        tickets = [service.submit(call, SubmitOptions(priority=priority))
                    for call, priority in zip(calls, priorities)]
         report = service.drain()
         assert report.completed == len(calls)
@@ -74,30 +74,19 @@ class TestCorpusEquivalence:
         for call, ticket in zip(calls, tickets):
             _assert_same(ticket.result(), _serial_reference(call))
 
-    def test_sharded_service_matches_serial_executor(self):
-        """One shard again, waves sharded across scheduler workers."""
-        rng = random.Random(0xFA57)
-        calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
-        with CallScheduler(max_workers=2) as sched:
-            service = EngineService(scheduler=sched,
-                                    queue_depth=len(calls))
-            tickets = [service.submit(call) for call in calls]
-            service.drain()
-        for call, ticket in zip(calls, tickets):
-            _assert_same(ticket.result(), _serial_reference(call))
-
     def test_engine_backend_service_matches_serial(self):
         """Engine-backed serving: same frames, driver books kept."""
         rng = random.Random(0xFA57 + 3)
         calls = [_random_batch_call(rng) for _ in range(12)]
-        lib = AddressLib(EngineBackend())
-        service = EngineService(lib=lib, queue_depth=len(calls))
+        service = EngineService(
+            policy=ServicePolicy(queue_depth=len(calls)))
         tickets = [service.submit(call) for call in calls]
         service.drain()
         for call, ticket in zip(calls, tickets):
             _assert_same(ticket.result(), _serial_reference(call))
-        assert lib.backend.driver.calls_submitted == len(calls)
-        assert lib.backend.driver.calls_shed == 0
+        driver = service.pool.workers[0].driver
+        assert driver.calls_submitted == len(calls)
+        assert driver.calls_shed == 0
 
     def test_priority_shuffle_is_result_invariant(self):
         """The same calls under two different priority assignments
@@ -107,9 +96,10 @@ class TestCorpusEquivalence:
         outcomes = []
         for seed in (1, 2):
             prio_rng = random.Random(seed)
-            service = EngineService(queue_depth=len(calls))
-            tickets = [service.submit(
-                call, priority=prio_rng.choice(list(Priority)))
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=len(calls)))
+            tickets = [service.submit(call, SubmitOptions(
+                priority=prio_rng.choice(list(Priority))))
                 for call in calls]
             service.drain()
             outcomes.append([t.result() for t in tickets])
@@ -118,28 +108,14 @@ class TestCorpusEquivalence:
 
 
 class TestModeledAccounting:
-    def test_software_and_engine_backends_price_identically(self):
-        """Admission prices from geometry alone: backend-independent."""
+    def test_bare_service_is_a_one_board_pool(self):
+        """A bare service serves through one board and prices calls
+        exactly as a four-board pool does: geometry alone."""
         rng = random.Random(0xFA57 + 11)
         calls = [_random_batch_call(rng) for _ in range(8)]
-        soft = EngineService()
-        hard = EngineService(lib=AddressLib(EngineBackend()))
+        bare = EngineService()
+        pooled = EngineService(pool=EnginePool.of_engines(4))
+        assert bare.pool.size == 1
         for call in calls:
-            assert soft.admission.price(call)[1] == pytest.approx(
-                hard.admission.price(call)[1], abs=0.0)
-
-    def test_coalesced_wave_shares_modeled_engines(self):
-        """Four identical calls on four modeled engines cost one call's
-        makespan, and the books show the 4x overlap."""
-        frame = noise_frame(QCIF, seed=21)
-        op = _INTRA[0]
-        service = EngineService(virtual_engines=4, max_batch=4)
-        for _ in range(4):
-            service.submit(BatchCall.intra(op, frame))
-        report = service.drain()
-        _, overlapped = service.admission.price(
-            BatchCall.intra(op, frame))
-        assert report.waves == 1
-        assert report.coalesced_requests == 4
-        assert report.busy_seconds == pytest.approx(overlapped)
-        assert report.overlap_efficiency == pytest.approx(0.75, abs=0.02)
+            assert bare.admission.price(call) == pooled.admission.price(
+                call)
