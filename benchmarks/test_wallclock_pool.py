@@ -1,22 +1,22 @@
-"""Experiment SCHED -- wall-clock sharding of a multi-call GME slice.
+"""Experiment POOL-WALL -- wall-clock spreading of a multi-call GME slice.
 
 A slice of the Table 3 GME workload expressed as one batch of
 independent AddressLib calls (per-frame Sobel/box/homogeneity intra
 work plus inter SAD reduces between consecutive frames) runs twice:
-serially, and sharded across a :class:`CallScheduler` worker pool with
-zero-copy shared-memory transport.
+serially, and spread over a 4-board :class:`EnginePool` whose board
+shares may run in worker processes with zero-copy shared-memory
+transport.
 
 What must hold:
 
-* the scheduled results are *bit-exact* with serial execution;
-* the modelled dispatch makespan across >= 4 virtual engine workers
-  under the block_A/block_B overlap model is at least 2x better than
-  the serial (sum) model -- this is machine-independent and always
-  asserted;
-* the real wall clock never *regresses*: on any host the scheduled run
+* the pooled results are *bit-exact* with serial execution;
+* the modelled makespan across the >= 4 boards under the
+  block_A/block_B overlap model is at least 2x better than the serial
+  (sum) model -- this is machine-independent and always asserted;
+* the real wall clock never *regresses*: on any host the pooled run
   stays within 10% of serial (``>= 0.9x`` -- the cost-model bypass
-  keeps small hosts inline), and on hosts with >= 4 CPUs the
-  shared-memory transport must deliver ``>= 1.5x``.
+  keeps small hosts inline), and where this process may use >= 4 CPUs
+  the shared-memory transport must deliver ``>= 1.5x``.
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
 ``wall.regression`` flag and the per-phase ship/compute/gather split CI
@@ -24,24 +24,25 @@ uses to triage a slow run.
 """
 
 import json
-import os
 import pathlib
 import time
+from dataclasses import asdict
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_ABSDIFF,
                               INTRA_BOX3, INTRA_HOMOGENEITY,
                               INTRA_SOBEL_X, INTRA_SOBEL_Y,
                               SoftwareBackend)
 from repro.gme import SINGAPORE, SyntheticSequence
-from repro.host import CallScheduler
 from repro.perf import format_seconds, format_table
+from repro.pool import EnginePool
+from repro.pool.processes import usable_cpus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 FRAMES = 12
 WORKERS = 4
 
-#: The scheduled run must never fall below this fraction of serial
+#: The pooled run must never fall below this fraction of serial
 #: wall time on *any* host: the inline bypass guarantees it.
 FLOOR_SPEEDUP = 0.9
 #: With >= 4 real CPUs the zero-copy transport must win outright.
@@ -65,48 +66,61 @@ def _gme_slice_calls():
     return calls
 
 
-def _run(calls, scheduler=None):
+def _run(calls, pool=None):
     lib = AddressLib(SoftwareBackend())
     t0 = time.perf_counter()
-    results = lib.run_batch(calls, scheduler=scheduler)
+    results = lib.run_batch(calls, pool=pool)
     return results, time.perf_counter() - t0
 
 
-def test_scheduler_wallclock(save_report):
+def _modeled(pool, calls):
+    """(serial, makespan) modeled seconds of ``calls`` on ``pool``.
+
+    Serial is the sum model on one engine, summed in call order; the
+    makespan is the largest board share's load -- the figure the pool
+    books on that board's clock.
+    """
+    serial = 0.0
+    for call in calls:
+        serial += pool.workers[0].price(call)[0]
+    return serial, max(load for _, _, load in pool.spread(calls))
+
+
+def test_pool_wallclock(save_report):
     calls = _gme_slice_calls()
 
     serial_results, serial_seconds = _run(calls)
 
-    with CallScheduler(max_workers=WORKERS) as scheduler:
-        # Warm the worker pool outside the timed region (process
+    with EnginePool.of_engines(WORKERS) as pool:
+        # Warm the worker processes outside the timed region (process
         # start-up is a one-off cost a long-running host amortises);
         # this also pre-registers the frames in the plane store, the
         # steady state of a host that re-batches over a sequence.
-        _run(calls[:WORKERS], scheduler=scheduler)
-        scheduled_results, scheduled_seconds = _run(
-            calls, scheduler=scheduler)
-        report = scheduler.last_report
-        transport = scheduler.transport_stats()
+        _run(calls[:WORKERS], pool=pool)
+        before = asdict(pool.report().transport)
+        pooled_results, pooled_seconds = _run(calls, pool=pool)
+        transport = asdict(pool.report().transport)
+        modeled_serial, modeled_makespan = _modeled(pool, calls)
+    batch = {key: transport[key] - before[key] for key in transport}
 
-    # Bit-exactness: the sharded batch is indistinguishable from serial.
-    assert len(scheduled_results) == len(serial_results)
-    for got, want in zip(scheduled_results, serial_results):
+    # Bit-exactness: the spread batch is indistinguishable from serial.
+    assert len(pooled_results) == len(serial_results)
+    for got, want in zip(pooled_results, serial_results):
         if isinstance(want, int):
             assert got == want
         else:
             assert got.equals(want)
 
-    # The modelled dispatch makespan across >= 4 engine workers:
-    # machine-independent, always asserted.
-    assert report is not None
-    assert report.workers >= 4
-    modeled_speedup = report.modeled_speedup
+    # The modelled makespan across >= 4 boards: machine-independent,
+    # always asserted.
+    assert pool.size >= 4
+    modeled_speedup = modeled_serial / modeled_makespan
     assert modeled_speedup >= 2.0, (
-        f"modelled {report.workers}-worker makespan speedup "
+        f"modelled {pool.size}-board makespan speedup "
         f"{modeled_speedup:.2f}x below 2x")
 
-    cpus = os.cpu_count() or 1
-    wall_speedup = serial_seconds / scheduled_seconds
+    cpus = usable_cpus()
+    wall_speedup = serial_seconds / pooled_seconds
     regression = wall_speedup < FLOOR_SPEEDUP
     target_asserted = cpus >= TARGET_CPUS
 
@@ -115,14 +129,14 @@ def test_scheduler_wallclock(save_report):
         "workers": WORKERS,
         "calls": len(calls),
         "frames": FRAMES,
-        "pool_calls": report.pool_calls,
-        "inline_calls": report.inline_calls,
-        "bypass_calls": report.bypass_calls,
-        "shm_calls": report.shm_calls,
-        "pickle_calls": report.pickle_calls,
+        "pool_calls": batch["pool_calls"],
+        "inline_calls": batch["inline_calls"],
+        "bypass_calls": batch["bypass_calls"],
+        "shm_calls": batch["shm_calls"],
+        "pickle_calls": batch["pickle_calls"],
         "wall": {
             "serial_seconds": serial_seconds,
-            "scheduled_seconds": scheduled_seconds,
+            "scheduled_seconds": pooled_seconds,
             "speedup": wall_speedup,
             "regression": regression,
             "floor": FLOOR_SPEEDUP,
@@ -130,14 +144,14 @@ def test_scheduler_wallclock(save_report):
             "target_asserted": target_asserted,
         },
         "phases": {
-            "ship_seconds": report.ship_seconds,
-            "compute_seconds": report.compute_seconds,
-            "gather_seconds": report.gather_seconds,
+            "ship_seconds": batch["ship_seconds"],
+            "compute_seconds": batch["compute_seconds"],
+            "gather_seconds": batch["gather_seconds"],
         },
         "transport": transport,
         "modeled": {
-            "serial_seconds": report.modeled_serial_seconds,
-            "pipelined_seconds": report.modeled_pipelined_seconds,
+            "serial_seconds": modeled_serial,
+            "pipelined_seconds": modeled_makespan,
             "speedup": modeled_speedup,
         },
         "bit_exact": True,
@@ -145,33 +159,31 @@ def test_scheduler_wallclock(save_report):
     (REPO_ROOT / "BENCH_wallclock.json").write_text(
         json.dumps(payload, indent=2) + "\n")
 
-    save_report("wallclock_scheduler", format_table(
+    phases = payload["phases"]
+    save_report("wallclock_pool", format_table(
         ["execution", "wall", "modelled board time"],
         [("serial", format_seconds(serial_seconds),
-          format_seconds(report.modeled_serial_seconds)),
-         (f"scheduled x{WORKERS}", format_seconds(scheduled_seconds),
-          format_seconds(report.modeled_pipelined_seconds))],
+          format_seconds(modeled_serial)),
+         (f"pool x{WORKERS}", format_seconds(pooled_seconds),
+          format_seconds(modeled_makespan))],
         title=(f"GME slice, {len(calls)} independent calls -- wall "
                f"{wall_speedup:.2f}x ({cpus} CPUs, "
                f"{'target' if target_asserted else 'floor'} gate), "
                f"modelled {modeled_speedup:.2f}x across "
-               f"{report.workers} engine workers; phases "
-               f"ship {format_seconds(report.ship_seconds)} / "
-               f"compute {format_seconds(report.compute_seconds)} / "
-               f"gather {format_seconds(report.gather_seconds)}")))
+               f"{pool.size} boards; phases "
+               f"ship {format_seconds(phases['ship_seconds'])} / "
+               f"compute {format_seconds(phases['compute_seconds'])} / "
+               f"gather {format_seconds(phases['gather_seconds'])}")))
 
     # Wall-clock gates: the floor holds everywhere (inline bypass),
-    # the 1.5x target holds wherever there are CPUs to shard onto.
+    # the 1.5x target holds wherever there are CPUs to spread onto.
+    detail = (f"(phases: ship {phases['ship_seconds']:.3f}s, "
+              f"compute {phases['compute_seconds']:.3f}s, "
+              f"gather {phases['gather_seconds']:.3f}s)")
     assert not regression, (
         f"wall-clock regression: {wall_speedup:.2f}x below "
-        f"{FLOOR_SPEEDUP}x floor on {cpus} CPUs "
-        f"(phases: ship {report.ship_seconds:.3f}s, "
-        f"compute {report.compute_seconds:.3f}s, "
-        f"gather {report.gather_seconds:.3f}s)")
+        f"{FLOOR_SPEEDUP}x floor on {cpus} CPUs {detail}")
     if target_asserted:
         assert wall_speedup >= TARGET_SPEEDUP, (
             f"wall-clock speedup {wall_speedup:.2f}x below "
-            f"{TARGET_SPEEDUP}x target on {cpus} CPUs "
-            f"(phases: ship {report.ship_seconds:.3f}s, "
-            f"compute {report.compute_seconds:.3f}s, "
-            f"gather {report.gather_seconds:.3f}s)")
+            f"{TARGET_SPEEDUP}x target on {cpus} CPUs {detail}")

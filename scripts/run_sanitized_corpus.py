@@ -1,9 +1,9 @@
 """Run the 208-case equivalence corpus under the transport sanitizer.
 
-The same 0xFA57 corpus recipe the scheduler/pool/service equivalence
-suites share, executed through a :class:`~repro.host.CallScheduler`
-with every sanitizer domain armed, on one worker configuration.  Two
-gates, both required:
+The same 0xFA57 corpus recipe the pool/service equivalence suites
+share, executed through an :class:`~repro.pool.EnginePool` with every
+sanitizer domain armed, on one board count (each batch takes the
+pool's own inline-or-ship decision).  Two gates, both required:
 
 * every result stays bit-exact against the serial
   :class:`~repro.addresslib.VectorExecutor` reference (the sanitizer
@@ -28,8 +28,9 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
                               SoftwareBackend, VectorExecutor)
-from repro.host import CallScheduler
+from repro.analysis.sanitize import install_sanitizer, uninstall_sanitizer
 from repro.image import Frame, ImageFormat, noise_frame
+from repro.pool import EnginePool
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -82,26 +83,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="PATH",
                         help="where to write the JSON report")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="scheduler worker count (default 2)")
+                        help="engine pool board count (default 2)")
     args = parser.parse_args(argv)
 
     shards: List[Dict[str, Any]] = []
     findings: List[Dict[str, Any]] = []
     mismatches = 0
-    with CallScheduler(max_workers=args.workers,
-                       sanitize=("all",)) as scheduler:
+    sanitizer = install_sanitizer(("all",))
+    with EnginePool.of_engines(args.workers) as pool:
         for shard in range(SHARDS):
             rng = random.Random(SEED + shard)
             calls = [_random_batch_call(rng)
                      for _ in range(CASES_PER_SHARD)]
-            before = len(scheduler.sanitizer_findings)
             lib = AddressLib(SoftwareBackend())
-            results = lib.run_batch(calls, scheduler=scheduler)
+            results = lib.run_batch(calls, pool=pool)
             shard_mismatches = sum(
                 0 if _same(got, _serial_reference(call)) else 1
                 for call, got in zip(calls, results))
             mismatches += shard_mismatches
-            new = scheduler.sanitizer_findings[before:]
+            new = sanitizer.drain()
             findings.extend(_finding_dict(d, shard) for d in new)
             shards.append({"shard": shard, "cases": len(calls),
                            "mismatches": shard_mismatches,
@@ -109,12 +109,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"shard {shard}: {len(calls)} cases, "
                   f"{shard_mismatches} mismatch(es), "
                   f"{len(new)} finding(s)")
+        books = pool.report().transport
+    uninstall_sanitizer()
 
     errors = [f for f in findings if f["severity"] == "ERROR"]
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": SHARDS * CASES_PER_SHARD, "workers": args.workers,
-        "sanitize": ["all"], "mismatches": mismatches,
+        "sanitize": ["all"], "pool_calls": books.pool_calls,
+        "bypass_calls": books.bypass_calls, "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
         "per_shard": shards,
     }

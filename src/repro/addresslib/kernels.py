@@ -100,8 +100,8 @@ def kernel_by_name(name: str) -> IntraOp:
 
     Memoized: repeated lookups return the *same* :class:`IntraOp`
     instance instead of rebuilding the weight tables, so the registry
-    is also an identity anchor -- the residency cache and the call
-    scheduler's worker dispatch both compare ops by identity.
+    is also an identity anchor -- the residency cache and the pool's
+    worker-process dispatch both compare ops by identity.
     """
     try:
         return _kernel_instance(name.strip().lower())

@@ -32,6 +32,7 @@ from .segment import (Criterion, LumaDeltaCriterion, SegmentProcessor,
 
 if TYPE_CHECKING:
     from ..api import SubmitOptions
+    from ..pool.pool import EnginePool
 
 
 @dataclass
@@ -107,10 +108,10 @@ class BatchCall:
     """One engine-eligible call queued for batched submission.
 
     A batch is a set of calls the application *declares* independent
-    (or that the scheduler derived from a program's dependency edges):
-    no call's input is another call's output.  :meth:`AddressLib.run_batch`
+    (or that a pool derived from a program's dependency edges): no
+    call's input is another call's output.  :meth:`AddressLib.run_batch`
     executes a batch either serially (records identical to issuing the
-    calls one by one) or through a scheduler's worker pool.
+    calls one by one) or spread over an engine pool's boards.
     """
 
     mode: AddressingMode
@@ -161,44 +162,13 @@ class BatchCall:
         return self.frames[0].format
 
 
-@dataclass
-class BatchOutcome:
-    """The functional result of one batched call."""
-
-    frame: Optional[Frame] = None
-    scalar: Optional[int] = None
-
-    @property
-    def value(self) -> Union[Frame, int]:
-        if self.frame is not None:
-            return self.frame
-        assert self.scalar is not None
-        return self.scalar
-
-
-class BatchExecutor(abc.ABC):
-    """The contract a call scheduler fulfils for :class:`AddressLib`.
-
-    Implementations (:class:`repro.host.scheduler.CallScheduler`)
-    compute the functional results of a batch -- possibly concurrently
-    across worker processes -- and return them *in submission order*.
-    Accounting stays with the library/backend, which records each call
-    analytically.
-    """
-
-    @abc.abstractmethod
-    def compute_batch(self,
-                      calls: Sequence[BatchCall]) -> List[BatchOutcome]:
-        """Execute every call of the batch; outcomes in call order."""
-
-
 class Backend(abc.ABC):
     """Executes AddressLib calls; one of software or AddressEngine."""
 
     name: str = "abstract"
 
-    #: Whether :meth:`batch_record` can account a scheduler-executed
-    #: call without re-running it.  Backends that couple execution and
+    #: Whether :meth:`batch_record` can account a pool-executed call
+    #: without re-running it.  Backends that couple execution and
     #: accounting (e.g. the program recorder) leave this ``False`` and
     #: batches fall back to the serial path.
     can_record_batches: bool = False
@@ -208,7 +178,7 @@ class Backend(abc.ABC):
         """Whether this backend can execute ``mode``."""
 
     def batch_record(self, call: BatchCall) -> CallRecord:
-        """Account one scheduler-executed call (no execution here)."""
+        """Account one pool-executed call (no execution here)."""
         raise NotImplementedError(
             f"{self.name} backend cannot record batched calls")
 
@@ -353,22 +323,23 @@ class AddressLib:
         return value
 
     def run_batch(self, calls: Sequence[BatchCall], *,
-                  scheduler: Optional[BatchExecutor] = None,
+                  pool: Optional["EnginePool"] = None,
                   options: Optional["SubmitOptions"] = None
                   ) -> List[Union[Frame, int]]:
         """Submit a batch of *independent* inter/intra calls.
 
-        Without a scheduler this is sugar: each call is issued through
-        the normal single-call path in order, so the results *and* the
-        log records are identical to hand-written serial code.  With a
-        scheduler, the functional results come from the scheduler's
-        engine workers (bit-exact: the workers run the same vector
-        executor) while each call is recorded with the backend's
-        analytic accounting -- one record per call, same counts, no
+        Without a pool this is sugar: each call is issued through the
+        normal single-call path in order, so the results *and* the log
+        records are identical to hand-written serial code.  With a pool,
+        the functional results come from
+        :meth:`~repro.pool.pool.EnginePool.compute_batch`, spread over
+        its boards (bit-exact: every board runs the same vector
+        executor), while each call is recorded with this library's
+        backend accounting -- one record per call, same counts, no
         re-execution.  If any dispatched backend cannot record batched
         calls, the whole batch silently takes the serial path.
 
-        ``scheduler`` and ``options`` are keyword-only; ``options``
+        ``pool`` and ``options`` are keyword-only; ``options``
         (a :class:`~repro.api.SubmitOptions`) currently contributes the
         tenant label the call log tallies executed calls under.
         """
@@ -376,11 +347,10 @@ class AddressLib:
         tenant = getattr(options, "tenant", None)
         if tenant is not None and calls:
             self.log.tally_tenant(tenant, len(calls))
-        if scheduler is not None and len(calls) > 1:
+        if pool is not None and len(calls) > 1:
             backends = [self._dispatch(call.mode) for call in calls]
             if all(b.can_record_batches for b in backends):
-                return self._run_batch_scheduled(calls, backends,
-                                                 scheduler)
+                return self._run_batch_pooled(calls, backends, pool)
         results: List[Union[Frame, int]] = []
         for call in calls:
             if call.mode is AddressingMode.INTRA:
@@ -399,27 +369,20 @@ class AddressLib:
                         call.channels))
         return results
 
-    def _run_batch_scheduled(self, calls: List[BatchCall],
-                             backends: List[Backend],
-                             scheduler: BatchExecutor
-                             ) -> List[Union[Frame, int]]:
-        # One modelled board per backend: concurrent calls leave its
-        # inter-call state (frame residency) undefined, so give each
-        # backend the chance to drop it before the wave.
+    def _run_batch_pooled(self, calls: List[BatchCall],
+                          backends: List[Backend], pool: "EnginePool"
+                          ) -> List[Union[Frame, int]]:
+        # Concurrent calls leave each backend's inter-call state (frame
+        # residency) undefined, so give each backend the chance to drop
+        # it before the wave.
         seen: Dict[int, Backend] = {}
         for backend in backends:
             if id(backend) not in seen:
                 seen[id(backend)] = backend
                 backend.begin_parallel_wave()
-        outcomes = scheduler.compute_batch(calls)
-        if len(outcomes) != len(calls):
-            raise RuntimeError(
-                f"scheduler returned {len(outcomes)} outcomes for "
-                f"{len(calls)} calls")
-        results: List[Union[Frame, int]] = []
-        for call, backend, outcome in zip(calls, backends, outcomes):
+        results = pool.compute_batch(calls)
+        for call, backend in zip(calls, backends):
             self.log.append(backend.batch_record(call))
-            results.append(outcome.value)
         return results
 
     # -- segment / segment-indexed (software path in v1) ----------------------

@@ -129,7 +129,7 @@ class CallProgram:
 
 
 # ---------------------------------------------------------------------------
-# Dependency structure (what the pipelined scheduler is allowed to reorder)
+# Dependency structure (what an engine pool is allowed to run concurrently)
 # ---------------------------------------------------------------------------
 
 def dependency_edges(program: CallProgram) -> List[Tuple[int, int]]:
@@ -174,7 +174,8 @@ def dependency_levels(program: CallProgram) -> List[List[int]]:
     every step's predecessors sit in strictly earlier lists.
 
     All steps inside one wavefront are mutually independent -- this is
-    the unit the call scheduler dispatches concurrently.
+    the unit :meth:`~repro.pool.pool.EnginePool.run_program` spreads
+    over its boards as one batch.
     """
     predecessors: Dict[int, List[int]] = {}
     for before, after in dependency_edges(program):
@@ -201,8 +202,8 @@ def critical_path_length(program: CallProgram) -> int:
 def exploitable_parallelism(program: CallProgram) -> float:
     """Average calls per wavefront: ``steps / critical path``.
 
-    1.0 means the program serialises completely -- the scheduler can
-    give it no concurrency; the rule layer flags that case (SCH001).
+    1.0 means the program serialises completely -- no engine pool can
+    give it concurrency; the rule layer flags that case (SCH001).
     """
     path = critical_path_length(program)
     if path == 0:

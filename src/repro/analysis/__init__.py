@@ -26,7 +26,7 @@ from .service import critical_path_cycles, step_cycles
 from .transport import transport_rules
 
 # NOTE: .sanitize is intentionally NOT imported here -- the runtime
-# sanitizer loads lazily (scheduler/service/CLI) so that importing the
+# sanitizer loads lazily (pool/service/CLI) so that importing the
 # analysis package stays free of host-transport side effects.
 
 __all__ = [

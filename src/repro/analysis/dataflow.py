@@ -2,7 +2,7 @@
 
 The per-step rules (:mod:`repro.analysis.rules`) and the chain rules
 (:mod:`repro.analysis.hazards`) see a :class:`CallProgram` as issued;
-nothing sees what the *serving stack does with it* -- how the scheduler
+nothing sees what the *serving stack does with it* -- how a pool
 groups steps into waves, which board a wave lands on, which frames ship
 as shared-memory handles versus hit a worker-resident cache, and what a
 mid-wave board failure does to all of the above.  This module lowers a

@@ -5,18 +5,22 @@ rule families.
 this module checks the same properties against the *live stack*.  A
 :class:`TransportSanitizer` implements the
 :class:`~repro.host.shm.TransportObserver` protocol -- the hook sites
-in :mod:`repro.host.shm`, :class:`~repro.host.scheduler.CallScheduler`,
-and :class:`~repro.pool.pool.EnginePool` notify it of every handle
+in :mod:`repro.host.shm` and :class:`~repro.pool.pool.EnginePool`
+(serving waves and worker-process waves) notify it of every handle
 ship, segment create/release, cache attach/evict, and pool
 wave/requeue -- and emits :class:`~repro.analysis.diagnostics.
 Diagnostic` findings under the *same rule ids* as the static pass, so
 every static verdict is dynamically falsifiable and vice versa.
 
 Opt-in and cheap: nothing is instrumented until a sanitizer is
-installed (``REPRO_SANITIZE=transport,residency`` in the environment,
-``sanitize=`` on :class:`~repro.host.scheduler.CallScheduler`, or
-``SubmitOptions(sanitize=...)`` through the service), and every hook
-site is a single module-global ``None`` check when it is not.
+installed (:func:`install_sanitizer`/:func:`ensure_sanitizer`,
+``SubmitOptions(sanitize=...)`` through the service, or
+``REPRO_SANITIZE=transport,residency`` in the environment, which an
+engine pool reads at each offline batch), and every hook site is a
+single module-global ``None`` check when it is not.  A pool's worker
+processes run sanitized exactly when a sanitizer is active in the
+parent: its domains ride along with each wave, and the workers'
+findings land on the parent's sanitizer.
 
 :data:`SANITIZE_SELFTESTS` seeds one real bug per rule into the live
 primitives (a mutated frame under an in-flight handle, a double
@@ -88,7 +92,7 @@ class TransportSanitizer:
     def _emit(self, rule_id: str, message: str) -> None:
         self.findings.append(_diag(rule_id, message))
 
-    # -- wave framing (scheduler-side) -------------------------------------
+    # -- wave framing (offline pool waves) ---------------------------------
 
     def wave_opened(self) -> None:
         self._wave_depth += 1
@@ -270,19 +274,6 @@ def uninstall_sanitizer() -> Optional[TransportSanitizer]:
             and shm.get_transport_observer() is sanitizer:
         shm.set_transport_observer(None)
     return sanitizer
-
-
-def reset_for_worker() -> None:
-    """Worker-process hygiene: drop state inherited over ``fork()``.
-
-    A forked worker inherits the parent's sanitizer *object* (with the
-    parent's accumulated findings); those belong to the parent.  The
-    scheduler's pool initializer calls this before installing the
-    worker's own sanitizer.
-    """
-    global _ACTIVE
-    _ACTIVE = None
-    shm.set_transport_observer(None)
 
 
 # ---------------------------------------------------------------------------

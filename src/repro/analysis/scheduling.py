@@ -1,16 +1,16 @@
 """Program-level scheduling rules (SCH001).
 
-The pipelined call scheduler (:mod:`repro.host.scheduler`) can only
-shard calls that do not depend on each other.  A program whose
+An engine pool (:meth:`~repro.pool.pool.EnginePool.run_program`) can
+only spread calls that do not depend on each other.  A program whose
 dependency graph is one straight chain serialises completely: every
 wavefront holds exactly one step, and a pool of engine workers buys
 nothing.  SCH001 surfaces that shape as an informational finding so an
-author chasing throughput knows the program -- not the scheduler -- is
+author chasing throughput knows the program -- not the pool -- is
 the limit.
 
 The structure comes from the same
 :func:`~repro.addresslib.program.dependency_levels` derivation the
-scheduler itself executes by, so the diagnostic cannot drift from the
+pool itself executes by, so the diagnostic cannot drift from the
 runtime behaviour.
 """
 
@@ -42,5 +42,5 @@ def scheduling_rules(program: CallProgram) -> List[Diagnostic]:
         f"dependency graph fully serialises: all {len(program.steps)} "
         f"steps form one chain (critical path "
         f"{critical_path_length(program)}, exploitable parallelism "
-        f"{exploitable_parallelism(program):.2f}); a call scheduler "
+        f"{exploitable_parallelism(program):.2f}); an engine pool "
         f"cannot overlap any of these calls")]

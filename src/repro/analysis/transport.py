@@ -2,8 +2,8 @@
 
 These rule families audit the :class:`~repro.analysis.dataflow.
 TransportPlan` event stream -- the static mirror of what
-:mod:`repro.host.shm`, :class:`~repro.host.scheduler.CallScheduler`,
-and :class:`~repro.pool.pool.EnginePool` do at runtime:
+:mod:`repro.host.shm` and :class:`~repro.pool.pool.EnginePool` (its
+serving waves and its worker processes) do at runtime:
 
 * ``SHM00x`` -- shared-memory handle lifecycle: a source plane mutated
   while its handle is in flight, a result adopted after store close, a

@@ -42,16 +42,15 @@ Async serving (:mod:`repro.aio`) rides the same options object::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .addresslib.library import (AddressLib, BatchCall, CallLog,
                                  SoftwareBackend)
 from .aio import AsyncEngineClient, AsyncTicket, CompletionStream
+from .checks import check_finite
 from .host.backend import EngineBackend
 from .host.driver import AddressEngineDriver, FrameResidencyCache
-from .host.scheduler import BatchReport, CallScheduler
 from .pool import (EnginePool, EngineWorker, LeastLoadedPlacement,
                    PlacementPolicy, PoolReport, ResidencyAffinityPlacement,
                    RoundRobinPlacement, WaveDispatch)
@@ -101,11 +100,8 @@ class SubmitOptions:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        for name in ("deadline_seconds", "arrival_seconds"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {value}")
+        check_finite("deadline_seconds", self.deadline_seconds)
+        check_finite("arrival_seconds", self.arrival_seconds)
         if self.sanitize is not None:
             domains = _normalize_sanitize(self.sanitize)
             object.__setattr__(self, "sanitize", domains)
@@ -134,9 +130,7 @@ __all__ = [
     "AsyncEngineClient",
     "AsyncTicket",
     "BatchCall",
-    "BatchReport",
     "CallLog",
-    "CallScheduler",
     "CompletionStream",
     "EngineBackend",
     "EnginePool",

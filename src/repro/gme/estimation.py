@@ -24,11 +24,11 @@ price it on the platform's host CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..addresslib.library import AddressLib, BatchCall, BatchExecutor
+from ..addresslib.library import AddressLib, BatchCall
 from ..addresslib.ops import (INTER_ABSDIFF, INTRA_BOX3, INTRA_HOMOGENEITY,
                               INTRA_SOBEL_X, INTRA_SOBEL_Y)
 from ..image.formats import ImageFormat
@@ -36,6 +36,9 @@ from ..image.frame import Frame
 from ..image.synth import frame_from_luma
 from .motion_model import AffineModel
 from .warp import decimate2, warp_luma
+
+if TYPE_CHECKING:
+    from ..pool.pool import EnginePool
 
 #: Instructions charged to the host per warped pixel (bilinear resample
 #: plus residual accumulation in the host loop).
@@ -91,13 +94,13 @@ class GlobalMotionEstimator:
     def __init__(self, lib: AddressLib,
                  settings: Optional[GmeSettings] = None,
                  charge: Optional[Callable[[float], None]] = None,
-                 scheduler: Optional[BatchExecutor] = None) -> None:
+                 pool: Optional["EnginePool"] = None) -> None:
         self.lib = lib
         self.settings = settings or GmeSettings()
-        #: Optional pipelined call scheduler: the per-pair reference
-        #: intra calls (Sobel per level + blend-mask homogeneity) are
-        #: mutually independent and ship as one batch.
-        self.scheduler = scheduler
+        #: Optional engine pool: the per-pair reference intra calls
+        #: (Sobel per level + blend-mask homogeneity) are mutually
+        #: independent and spread over its boards as one batch.
+        self.pool = pool
         self._charge = charge or (lambda instructions: None)
         self._format_cache: Dict[Tuple[int, int], ImageFormat] = {}
         self._grid_cache: Dict[Tuple[int, int],
@@ -197,8 +200,8 @@ class GlobalMotionEstimator:
 
         The Sobel x/y calls per level and the blend-mask homogeneity
         call only read the (already built) reference pyramid, so they
-        are mutually independent: one batch, shardable across engine
-        workers when a scheduler is attached.  The Sobel ops store
+        are mutually independent: one batch, spread over the boards
+        when a pool is attached.  The Sobel ops store
         ``(acc >> 3) + 128``; undoing the bias and shift recovers the
         derivative in luma units per pixel (up to the Sobel kernel's
         gain of 8, folded into the solve consistently).
@@ -212,7 +215,7 @@ class GlobalMotionEstimator:
             calls.append(BatchCall.intra(INTRA_SOBEL_Y, ref.frame))
         calls.append(BatchCall.intra(INTRA_HOMOGENEITY,
                                      ref_pyramid[0].frame))
-        results = self.lib.run_batch(calls, scheduler=self.scheduler)
+        results = self.lib.run_batch(calls, pool=self.pool)
         gradients = []
         for level in range(len(ref_pyramid)):
             gx_frame = results[2 * level]

@@ -17,13 +17,13 @@ AddressEngine behind its Pentium 4 host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.executor import SoftwareCostModel
-from ..addresslib.library import BatchExecutor, SoftwareBackend
+from ..addresslib.library import SoftwareBackend
 from ..addresslib.profiling import InstructionCost
 from ..host.runtime import Runtime, software_platform
 from ..perf.cpu_model import CpuModel, PENTIUM_4_3000, PENTIUM_M_1600
@@ -32,6 +32,9 @@ from .estimation import (GlobalMotionEstimator, GmeSettings, PairEstimate)
 from .mosaic import Mosaic
 from .motion_model import AffineModel
 from .sequences import SequenceSpec, SyntheticSequence
+
+if TYPE_CHECKING:
+    from ..pool.pool import EnginePool
 
 
 def xm_cost_model() -> SoftwareCostModel:
@@ -97,15 +100,15 @@ class GmeApplication:
                  costs: Optional[XmCosts] = None,
                  build_mosaic: bool = False,
                  mosaic_shape: Optional[tuple] = None,
-                 scheduler: Optional["BatchExecutor"] = None) -> None:
+                 pool: Optional["EnginePool"] = None) -> None:
         self.runtime = runtime
         self.settings = settings or GmeSettings()
         self.costs = costs or XmCosts()
         self.build_mosaic = build_mosaic
         self.mosaic_shape = mosaic_shape
-        #: Optional pipelined call scheduler (shards each pair's
-        #: independent intra calls across engine workers).
-        self.scheduler = scheduler
+        #: Optional engine pool (spreads each pair's independent intra
+        #: calls over its boards).
+        self.pool = pool
 
     def run_sequence(self, sequence: SyntheticSequence) -> SequenceRunResult:
         """Process every frame pair of ``sequence``."""
@@ -113,7 +116,7 @@ class GmeApplication:
         estimator = GlobalMotionEstimator(
             runtime.lib, self.settings,
             charge=runtime.charge_high_level,
-            scheduler=self.scheduler)
+            pool=self.pool)
         costs = self.costs
 
         mosaic = None

@@ -7,15 +7,12 @@ from .driver import (AddressEngineDriver, CallPrice, DriverResult,
                      FrameResidencyCache)
 from .runtime import (RunReport, Runtime, engine_platform,
                       software_platform)
-from .scheduler import (BatchReport, CallScheduler, ProgramOutcome)
 from .shm import (SHARED_MEMORY_AVAILABLE, FrameHandle, PlaneStore,
                   ResultHandle, frame_payload_bytes)
 
 __all__ = [
     "AddressEngineDriver",
-    "BatchReport",
     "CallPrice",
-    "CallScheduler",
     "DriverResult",
     "EngineBackend",
     "FrameHandle",
@@ -23,7 +20,6 @@ __all__ = [
     "EngineBackendV2",
     "PlaneStore",
     "ProgramCheckError",
-    "ProgramOutcome",
     "ResultHandle",
     "SHARED_MEMORY_AVAILABLE",
     "frame_payload_bytes",

@@ -104,7 +104,7 @@ class EngineBackend(Backend):
         assert result.scalar is not None
         return result.scalar, record
 
-    # -- batched (scheduler-executed) calls -----------------------------------
+    # -- batched (pool-executed) calls ----------------------------------------
 
     def begin_parallel_wave(self) -> None:
         """Concurrent calls leave the bank state undefined: drop it."""
@@ -124,7 +124,7 @@ class EngineBackend(Backend):
         return intra_config(call.op, call.fmt, call.channels)
 
     def batch_record(self, call: BatchCall) -> CallRecord:
-        """Price and book one scheduler-executed call.
+        """Price and book one pool-executed call.
 
         The functional result was computed in a worker; the board cost
         comes from the same :meth:`~AddressEngineDriver.price_call`

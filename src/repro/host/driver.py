@@ -271,9 +271,9 @@ class AddressEngineDriver:
                    onboard_copy_cycles: int = 0) -> CallPrice:
         """Closed-form cost of one call, without executing it.
 
-        The call scheduler uses this to price batched calls it has
-        already executed in worker processes; :meth:`submit` uses the
-        same arithmetic so priced and submitted calls account alike.
+        Batched calls an engine pool has already executed are priced
+        with this; :meth:`submit` uses the same arithmetic so priced and
+        submitted calls account alike.
         """
         pci_words = (self.timing.input_words_raw(
             config.fmt.pixels, config.images_in, resident_count)
@@ -292,7 +292,7 @@ class AddressEngineDriver:
             pci_words=pci_words, interrupts=interrupts)
 
     def account_scheduled(self, price: CallPrice) -> None:
-        """Book one scheduler-executed call into the driver counters."""
+        """Book one pool-executed call into the driver counters."""
         self.calls_submitted += 1
         self.interrupts_serviced += price.interrupts
 

@@ -1,10 +1,10 @@
-"""Zero-copy frame transport between the scheduler and its workers.
+"""Zero-copy frame transport between a pool and its worker processes.
 
 The paper's host moves every frame over the PCI bus by DMA, and the
 board design (strip jobs, block_A/block_B double buffering, interrupt
 batching) exists to keep that bus off the critical path; section 4.3
 observes the penalty when it is not ("the host accessed the board after
-every call to the AddressLib").  The scheduler's parent<->worker
+every call to the AddressLib").  The pool's parent<->worker-process
 boundary has exactly the same structure: pickling a frame into a
 ``ProcessPoolExecutor`` is this model's PCI transfer, and it was the
 measured wall-clock limiter.  This module is the DMA engine of that
@@ -32,7 +32,7 @@ Three cooperating pieces:
 Everything degrades to pickle transport: when the platform has no
 ``multiprocessing.shared_memory`` (:data:`SHARED_MEMORY_AVAILABLE` is
 False) or a segment operation fails at runtime, the store flips
-``broken`` and the scheduler falls back to shipping whole frames.
+``broken`` and the pool falls back to shipping whole frames.
 """
 
 from __future__ import annotations
@@ -265,14 +265,15 @@ class TransportObserver(Protocol):
     """What a transport sanitizer sees of the live stack.
 
     Every method is a fire-and-forget notification from a hook site in
-    this module, the scheduler, or the pool; implementations must be
+    this module or the pool (its serving waves and its worker
+    processes); implementations must be
     cheap and must never raise (:mod:`repro.analysis.sanitize` is the
     one implementation).  The hooks are dormant -- a module-global
     ``None`` check -- unless an observer is installed, so production
     runs pay one attribute load per event.
     """
 
-    # scheduler-side wave framing
+    # offline-wave framing (repro.pool.processes)
     def wave_opened(self) -> None: ...
 
     def wave_closed(self) -> None: ...
@@ -361,8 +362,6 @@ class PlaneStore:
         self.closed = False
         self.segments_created = 0
         self.generation_bumps = 0
-        self.bytes_registered = 0
-        self.results_adopted = 0
         self._entries: Dict[int, _StoreEntry] = {}
         self._next_frame_id = 0
 
@@ -423,7 +422,6 @@ class PlaneStore:
             self.broken = True
             return None
         self.segments_created += 1
-        self.bytes_registered += nbytes
         observer = _OBSERVER
         if observer is not None:
             observer.segment_created(segment.name)
@@ -492,7 +490,6 @@ class PlaneStore:
         frame = read_frame(handle.fmt, segment.buf, writeable=True)
         _disarm(segment)
         weakref.finalize(frame, _release_segment, segment)
-        self.results_adopted += 1
         return frame
 
     # -- books and lifecycle -----------------------------------------------
@@ -504,16 +501,6 @@ class PlaneStore:
     def active_segment_names(self) -> List[str]:
         return [entry.handle.segment_name
                 for entry in self._entries.values()]
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "segments_created": self.segments_created,
-            "segments_active": self.segments_active,
-            "generation_bumps": self.generation_bumps,
-            "bytes_registered": self.bytes_registered,
-            "results_adopted": self.results_adopted,
-            "broken": self.broken,
-        }
 
     def close(self) -> None:
         """Release every live segment (idempotent, safe at exit)."""

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..addresslib.library import BatchCall
 from ..addresslib.ops import INTER_OPS, INTRA_OPS
+from ..checks import check_finite
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
 from ..image.synth import noise_frame
@@ -63,15 +64,21 @@ class TenantSpec:
     burst_cycle_requests: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"tenant weight must be > 0: {self.weight}")
-        if self.burst_factor < 1.0:
+        check_finite("tenant weight", self.weight, positive=True)
+        check_finite("deadline_seconds", self.deadline_seconds)
+        if not self.max_retries >= 0:
+            raise ValueError(
+                f"max_retries must be >= 0: {self.max_retries}")
+        check_finite("burst_factor", self.burst_factor)
+        if not self.burst_factor >= 1.0:
             raise ValueError(
                 f"burst_factor must be >= 1.0: {self.burst_factor}")
         if not 0.0 < self.burst_fraction < 1.0:
             raise ValueError(
                 f"burst_fraction must be in (0, 1): "
                 f"{self.burst_fraction}")
+        check_finite("burst_cycle_requests", self.burst_cycle_requests,
+                     positive=True)
 
 
 def _default_tenants() -> Tuple[TenantSpec, ...]:
@@ -108,13 +115,19 @@ class TraceSpec:
     inter_ops: Tuple[str, ...] = ("inter_absdiff",)
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
+        if not self.requests >= 1:
             raise ValueError(f"requests must be >= 1: {self.requests}")
-        if self.rate_per_s <= 0:
-            raise ValueError(
-                f"rate_per_s must be > 0: {self.rate_per_s}")
+        check_finite("rate_per_s", self.rate_per_s, positive=True)
         if not self.tenants:
             raise ValueError("a trace needs at least one tenant")
+        for name in ("width", "height", "frame_pool"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(
+                    f"{name} must be >= 1: {getattr(self, name)}")
+        for name in ("inter_fraction", "reduce_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"{name} must be in [0, 1]: {getattr(self, name)}")
         for name in self.intra_ops:
             if name not in INTRA_OPS:
                 raise ValueError(f"unknown intra op {name!r}")
@@ -268,8 +281,7 @@ class ArrivalTrace:
         """The same request sequence offered ``load_factor`` times
         faster (arrival times divided, rate multiplied) -- one trace
         sweeps a whole latency/goodput curve."""
-        if load_factor <= 0:
-            raise ValueError(f"load_factor must be > 0: {load_factor}")
+        check_finite("load_factor", load_factor, positive=True)
         entries = [replace(e, arrival_seconds=(e.arrival_seconds
                                                / load_factor))
                    for e in self.entries]

@@ -5,7 +5,6 @@ side with the paper's published values.  This module provides the small
 formatting helpers they share, so the output stays uniform, plus the
 one ``to_dict()`` schema every report type
 (:class:`~repro.host.runtime.RunReport`,
-:class:`~repro.host.scheduler.BatchReport`,
 :class:`~repro.service.ServiceReport`,
 :class:`~repro.pool.PoolReport`) serialises through, so
 ``repro.summary`` and the BENCH emitters never special-case a report

@@ -21,78 +21,10 @@ derived from -- and checked by tests against -- the cycle-level model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from ..core.config import EngineConfig
 from ..core.constraints import PLC_TICKS_PER_CYCLE
 from ..core.pci import DEFAULT_JOB_OVERHEAD_CYCLES, PCI_CLOCK_HZ
-
-
-def list_scheduled_makespan(costs: Sequence[float], engines: int) -> float:
-    """LPT list-scheduled makespan of ``costs`` across ``engines``.
-
-    The call scheduler's per-wave makespan across its worker
-    processes.  Longest-processing-time ordering, each cost on the
-    least-loaded engine.
-    """
-    loads = [0.0] * max(1, engines)
-    for cost in sorted(costs, reverse=True):
-        slot = loads.index(min(loads))
-        loads[slot] += cost
-    return max(loads)
-
-
-@dataclass(frozen=True)
-class TransportCostModel:
-    """Cost of moving one call across the parent<->worker boundary.
-
-    The scheduler's analogue of the PCI-transfer arithmetic above: the
-    engine model prices moving a frame to the board, this model prices
-    moving it to a pool worker.  It drives the inline-bypass decision
-    -- a call whose modeled compute saving is below its shipping cost
-    stays in the parent.
-
-    Defaults are deliberately conservative; the scheduler replaces
-    ``round_trip_s`` with a measured value (two no-op submissions, the
-    second timed) once its pool is warm.  The one-off cost of writing a
-    frame's planes into a segment at registration is not modeled: it is
-    paid once per frame, not per call.
-    """
-
-    #: Fixed cost of one grouped submission: queue hop, worker wakeup,
-    #: result delivery.  Amortised over the calls sharing the trip.
-    round_trip_s: float = 3e-4
-    #: Per shared-memory handle: pickle of the tiny handle plus the
-    #: (amortised) worker-side attach.
-    handle_s: float = 2e-5
-    #: Throughput of pickling numpy payloads through the executor's
-    #: pipes -- the fallback transport's per-byte cost.
-    pickle_bytes_per_s: float = 400e6
-    #: Seconds per modeled software instruction when estimating inline
-    #: (parent-side) execution from a ``SoftwareCostModel`` profile.
-    #: Calibrated against the vector executor's measured throughput on
-    #: CIF intra calls, not against the paper's scalar CPUs.
-    instruction_s: float = 0.5e-9
-
-    def ship_seconds(self, payload_bytes: int, handles: int,
-                     zero_copy: bool, amortized_calls: int = 1,
-                     round_trip_s: Optional[float] = None) -> float:
-        """Modeled cost of shipping one call to a worker and back.
-
-        ``amortized_calls`` is how many calls share the round trip
-        (grouped dispatch sends one submission per worker per wave);
-        ``payload_bytes`` only counts under pickle transport
-        (``zero_copy`` false).
-        """
-        fixed = self.round_trip_s if round_trip_s is None else round_trip_s
-        cost = fixed / max(1, amortized_calls) + handles * self.handle_s
-        if not zero_copy:
-            cost += payload_bytes / self.pickle_bytes_per_s
-        return cost
-
-    def inline_seconds(self, instructions: float) -> float:
-        """Estimated parent-side execution time of one call."""
-        return instructions * self.instruction_s
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,24 @@ Failure semantics: a board that raises
 and taken out of rotation; its wave re-places among the surviving
 boards and re-runs whole (no partial results are kept, so a failover is
 invisible in the outputs).  A pool with no surviving board re-raises.
+
+Offline work takes the other shape: :meth:`EnginePool.compute_batch`
+spreads one batch of independent calls over *every* alive board, and a
+board's share may run in a worker process (:mod:`repro.pool.processes`).
+Only that path ever starts a process; :meth:`EnginePool.close` (or the
+context manager) shuts the processes down and unlinks their
+shared-memory segments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..addresslib.library import AddressLib, BatchCall
+from ..addresslib.program import (CallProgram, ProgramStep,
+                                  dependency_levels)
 from ..core.errors import EngineDeadlock
 from ..host import shm
 from ..host.backend import EngineBackend
@@ -37,6 +46,7 @@ from ..perf.report import base_report_dict
 from ..perf.timing import EngineTimingModel
 from .placement import (LeastLoadedPlacement, PlacementPolicy,
                         ResidencyAffinityPlacement)
+from .processes import ProgramOutcome, TransportBooks, WorkerProcesses
 from .worker import EngineWorker, WorkerReport
 
 
@@ -68,6 +78,8 @@ class PoolReport:
     calls_requeued: int = 0
     calls_shed: int = 0
     clock_hz: float = 0.0
+    #: Books of the offline path (:meth:`EnginePool.compute_batch`).
+    transport: TransportBooks = field(default_factory=TransportBooks)
 
     @property
     def calls_routed(self) -> int:
@@ -112,6 +124,7 @@ class PoolReport:
             calls_requeued=self.calls_requeued,
             residency_hit_rate=self.residency_hit_rate,
             workers=[w.to_dict(self.clock_hz) for w in self.workers],
+            transport=asdict(self.transport),
         )
 
 
@@ -134,6 +147,7 @@ class EnginePool:
         self.calls_requeued = 0
         self.calls_shed = 0
         self._least_loaded = LeastLoadedPlacement()
+        self._processes = WorkerProcesses(len(self.workers))
 
     # -- construction ---------------------------------------------------------
 
@@ -146,9 +160,9 @@ class EnginePool:
                    ) -> "EnginePool":
         """A pool of ``count`` engine-backed boards, one driver each.
 
-        Workers run their waves serially on their own board (no nested
-        scheduler), so each board's residency chaining stays live and
-        the affinity policy has real bank state to route on.
+        Workers run their waves serially on their own board, so each
+        board's residency chaining stays live and the affinity policy
+        has real bank state to route on.
         """
         if count < 1:
             raise ValueError(f"pool size {count} < 1")
@@ -162,6 +176,20 @@ class EnginePool:
             workers.append(EngineWorker(
                 worker_id, lib=AddressLib(backend), timing=timing))
         return cls(workers, placement=placement)
+
+    def close(self) -> None:
+        """Shut down the worker processes and unlink their shm segments.
+
+        Idempotent; a closed pool still serves and still computes
+        batches, inline in the parent.
+        """
+        self._processes.close()
+
+    def __enter__(self) -> "EnginePool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -- pool state -----------------------------------------------------------
 
@@ -281,6 +309,101 @@ class EnginePool:
         if driver is not None:
             driver.account_shed(calls)
 
+    # -- offline batches ------------------------------------------------------
+
+    def spread(self, calls: Sequence[BatchCall]
+               ) -> List[Tuple[EngineWorker, List[int], float]]:
+        """One LPT pass of ``calls`` over the alive boards.
+
+        Each call is priced once (its overlap-model cost), ranked
+        largest first with ties on submission index, and placed on the
+        least-loaded board (ties on the lower board).  Answers each
+        board with a non-empty share: the share's call indices in
+        submission order and its modeled load, accumulated largest
+        first like :meth:`EngineWorker.wave_cost_seconds`.
+        """
+        alive = self.alive()
+        if not alive:
+            raise EngineDeadlock("engine pool has no surviving workers")
+        price = alive[0].price
+        ranked = sorted(((price(call)[1], index)
+                         for index, call in enumerate(calls)),
+                        key=lambda pair: (-pair[0], pair[1]))
+        loads = [0.0] * len(alive)
+        shares: List[List[int]] = [[] for _ in alive]
+        for cost, index in ranked:
+            slot = loads.index(min(loads))
+            loads[slot] += cost
+            shares[slot].append(index)
+        return [(worker, sorted(share), load)
+                for worker, share, load in zip(alive, shares, loads)
+                if share]
+
+    def compute_batch(self, calls: Sequence[BatchCall]
+                      ) -> List[Union[Frame, int]]:
+        """Execute one batch of independent calls; results in call order.
+
+        The batch spreads over the alive boards (:meth:`spread`); each
+        board's share runs inline or in a worker process, and each
+        board's clock advances by its share's modeled load, so the
+        batch's modeled makespan is the largest share.  Accounting
+        stays with the caller's library
+        (:meth:`~repro.addresslib.library.AddressLib.run_batch` records
+        every call); the boards' own libraries are never touched.
+        """
+        calls = list(calls)
+        if not calls:
+            return []
+        shares = self.spread(calls)
+        results = self._processes.run(
+            calls, [indices for _, indices, _ in shares])
+        for worker, indices, load in shares:
+            start = worker.busy_until
+            worker.book_wave([calls[index] for index in indices], start,
+                             start + load)
+        self.waves_dispatched += 1
+        return results
+
+    @staticmethod
+    def _step_call(step: ProgramStep,
+                   planes: Dict[str, Frame]) -> BatchCall:
+        try:
+            frames = tuple(planes[name] for name in step.inputs)
+        except KeyError as missing:
+            raise ValueError(
+                f"program step {step.index} reads undefined plane "
+                f"{missing.args[0]!r}") from None
+        return BatchCall(mode=step.mode, op=step.op, frames=frames,
+                         channels=step.channels,
+                         reduce_to_scalar=step.reduce_to_scalar)
+
+    def run_program(self, program: CallProgram,
+                    inputs: Sequence[Frame]) -> ProgramOutcome:
+        """Execute a whole call program, wavefront by wavefront.
+
+        Steps inside one dependency level are mutually independent (the
+        RAW/WAW/WAR edges of
+        :func:`~repro.addresslib.program.dependency_edges` all cross
+        levels), so each level is one :meth:`compute_batch` wave.
+        Results are bit-exact with executing the steps in program order.
+        """
+        if len(inputs) != len(program.inputs):
+            raise ValueError(
+                f"program {program.name!r} takes {len(program.inputs)} "
+                f"inputs, got {len(inputs)}")
+        outcome = ProgramOutcome(
+            planes=dict(zip(program.inputs, inputs)))
+        for level in dependency_levels(program):
+            steps = [program.steps[index] for index in level]
+            batch = [self._step_call(step, outcome.planes)
+                     for step in steps]
+            for step, result in zip(steps, self.compute_batch(batch)):
+                if isinstance(result, int):
+                    outcome.scalars[step.index] = result
+                elif step.output is not None:
+                    outcome.planes[step.output] = result
+        return outcome
+
     # -- books ----------------------------------------------------------------
 
     def report(self, clock_seconds: float = 0.0) -> PoolReport:
@@ -294,4 +417,5 @@ class EnginePool:
             calls_requeued=self.calls_requeued,
             calls_shed=self.calls_shed,
             clock_hz=self.timing.clock_hz,
+            transport=replace(self._processes.books),
         )

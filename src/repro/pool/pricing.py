@@ -1,8 +1,8 @@
 """Closed-form pricing of batch calls, shared across the stack.
 
 Every layer that reasons about multi-engine execution -- the admission
-controller, the call scheduler's makespan books, and the
-:class:`~repro.pool.EnginePool` workers -- must price one call with the
+controller and the :class:`~repro.pool.EnginePool` boards (serving
+waves and offline batch shares alike) -- must price one call with the
 *same* arithmetic, or modeled dispatch decisions drift from the
 accounting.  This module is that single definition; it depends only on
 the addressing geometry and the validated
@@ -24,10 +24,9 @@ def call_cost_seconds(call: BatchCall, timing: EngineTimingModel,
                       ) -> Tuple[float, float]:
     """(serial-model, overlap-model) seconds of one call's geometry.
 
-    The same arithmetic :class:`~repro.host.scheduler.CallScheduler`
-    prices batches with, so service admission, scheduler makespans,
-    pool placement and driver submission all account one call
-    identically.
+    Every board prices with it (:meth:`~repro.pool.worker.EngineWorker.
+    price`), so service admission, pool placement, offline batch
+    makespans and driver submission all account one call identically.
     """
     fmt = call.fmt
     images_in = 2 if call.mode is AddressingMode.INTER else 1

@@ -1,6 +1,6 @@
 """The AddressEngine service layer: a request front end over the stack.
 
-Turns the driver + scheduler stack into a servable engine: bounded
+Turns the driver + engine-pool stack into a servable engine: bounded
 priority queueing with explicit backpressure (:class:`RequestQueue`),
 model-priced admission control (:class:`AdmissionController`),
 micro-batching of compatible calls (:class:`MicroBatcher`), per-request

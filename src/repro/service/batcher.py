@@ -5,14 +5,14 @@ submits the next.  A loaded service can do better: queued calls that
 share a configuration (same addressing mode, same op, same format and
 channel set) are *already* what :meth:`AddressLib.run_batch` calls a
 batch -- mutually independent by the service contract -- so the batcher
-pulls them forward into one wave and hands that to the call scheduler.
+pulls them forward into one wave and hands that to the engine pool.
 
 Bit-exactness is structural, not hoped for: each request's result
 depends only on its own input frames (no request reads another's
 output), so executing compatible requests together -- in any order, on
 any worker -- produces exactly the frames serial one-at-a-time
 submission would.  The equivalence tests hold this over the same
-randomized corpus the scheduler is held to.
+randomized corpus the pool is held to.
 """
 
 from __future__ import annotations

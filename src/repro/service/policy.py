@@ -9,8 +9,13 @@ p95 deadline target), and is the only configuration
 :class:`~repro.api.SubmitOptions` made for per-request metadata.
 Anything else passed as ``policy=`` is a :class:`TypeError`.
 
+Every field is range-checked at construction: NaN, infinity and
+negative times raise :class:`ValueError` through the shared
+:func:`repro.checks.check_finite`.
+
 Deliberately light: this module imports nothing beyond
-:mod:`repro.service.request`, so the static analyzer
+:mod:`repro.service.request` and :mod:`repro.checks`, so the static
+analyzer
 (:mod:`repro.analysis`, rule SVC003) can inspect a policy without
 dragging in the pool or the timing model.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..checks import check_finite
 from .request import Priority
 
 __all__ = [
@@ -45,6 +51,12 @@ class AdmissionPolicy:
     #: Per-class fraction of the budget (BULK sheds first).
     budget_fractions: Dict[Priority, float] = field(
         default_factory=_default_budget_fractions)
+
+    def __post_init__(self) -> None:
+        check_finite("deadline_budget_seconds",
+                     self.deadline_budget_seconds)
+        for priority, fraction in self.budget_fractions.items():
+            check_finite(f"budget_fractions[{priority}]", fraction)
 
     def budget_for(self, priority: Priority) -> Optional[float]:
         if self.deadline_budget_seconds is None:
@@ -79,20 +91,15 @@ class TenantPolicy:
     p95_target_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(
-                f"tenant weight must be > 0, got {self.weight}")
-        if self.max_queued is not None and self.max_queued < 1:
+        check_finite("tenant weight", self.weight, positive=True)
+        if self.max_queued is not None and not self.max_queued >= 1:
             raise ValueError(
                 f"max_queued must be >= 1, got {self.max_queued}")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
+        if self.max_in_flight is not None and not self.max_in_flight >= 1:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if (self.p95_target_seconds is not None
-                and self.p95_target_seconds <= 0):
-            raise ValueError(
-                f"p95_target_seconds must be > 0, got "
-                f"{self.p95_target_seconds}")
+        check_finite("p95_target_seconds", self.p95_target_seconds,
+                     positive=True)
 
 
 #: The neutral contract untagged (and unconfigured) tenants serve under.
@@ -129,16 +136,14 @@ class ServicePolicy:
     rate_tau_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.queue_depth < 1:
+        if not self.queue_depth >= 1:
             raise ValueError(
                 f"queue depth must be >= 1, got {self.queue_depth}")
-        if self.max_batch < 1:
+        if not self.max_batch >= 1:
             raise ValueError(
                 f"max_batch must be >= 1, got {self.max_batch}")
-        if self.rate_tau_seconds <= 0:
-            raise ValueError(
-                f"rate_tau_seconds must be > 0, got "
-                f"{self.rate_tau_seconds}")
+        check_finite("rate_tau_seconds", self.rate_tau_seconds,
+                     positive=True)
 
     def tenant(self, name: Optional[str]) -> TenantPolicy:
         """The contract ``name`` serves under (default when unlisted)."""

@@ -163,14 +163,15 @@ def sanitizer_section() -> str:
 
     Each row seeds one real transport/residency/pool bug into the live
     shared-memory primitives and reports whether the runtime sanitizer
-    caught it; the final row runs a small sanitized scheduler batch
-    that must come back clean.  Mirrors
+    caught it; the final row runs a small sanitized batch through a
+    two-board engine pool that must come back clean.  Mirrors
     ``repro-check --sanitize-selftest``.
     """
     from .addresslib import BatchCall, INTRA_GRAD
-    from .analysis.sanitize import SANITIZE_SELFTESTS
-    from .host.scheduler import CallScheduler
+    from .analysis.sanitize import (SANITIZE_SELFTESTS, install_sanitizer,
+                                    uninstall_sanitizer)
     from .image import noise_frame
+    from .pool import EnginePool
 
     rows: List[tuple] = []
     for description, (scenario, rule_id) in SANITIZE_SELFTESTS.items():
@@ -184,16 +185,15 @@ def sanitizer_section() -> str:
 
     calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
              for i in range(6)]
-    scheduler = CallScheduler(max_workers=2,
-                              sanitize=("transport", "residency"))
+    sanitizer = install_sanitizer(("transport", "residency"))
     try:
-        scheduler.compute_batch(calls)
+        with EnginePool.of_engines(2) as pool:
+            pool.compute_batch(calls)
     finally:
-        scheduler.close()
-    clean = not scheduler.sanitizer_findings
-    rows.append(("--", "sanitized clean batch (6 calls, 2 workers)",
-                 "clean" if clean else
-                 f"{len(scheduler.sanitizer_findings)} finding(s)"))
+        uninstall_sanitizer()
+    findings = sanitizer.drain()
+    rows.append(("--", "sanitized clean batch (6 calls, 2 boards)",
+                 f"{len(findings)} finding(s)" if findings else "clean"))
     return format_table(
         ["rule", "seeded bug", "sanitizer"], rows,
         title="Transport sanitizer (seeded bugs + clean run)")

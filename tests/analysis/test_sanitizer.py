@@ -5,12 +5,14 @@ Three contracts:
 * every ``SANITIZE_SELFTESTS`` scenario (one real seeded bug per
   SHM/RES/POOL rule, against the *live* shared-memory primitives) is
   caught -- or skipped where the platform has no shared memory;
-* a sanitizer-armed scheduler run over the 0xFA57 corpus recipe stays
-  bit-exact against the serial executor and emits zero error-severity
-  findings (observation never perturbs results);
-* the arming surfaces agree: ``REPRO_SANITIZE``, the scheduler's
-  ``sanitize=`` keyword, and ``SubmitOptions(sanitize=...)`` all
-  normalise through the same domain vocabulary.
+* a sanitizer-armed engine-pool run over the 0xFA57 corpus recipe,
+  shipped to worker processes, stays bit-exact against the serial
+  executor and emits zero error-severity findings (observation never
+  perturbs results);
+* the arming surfaces agree: ``REPRO_SANITIZE`` (read by the pool at
+  each offline batch), ``install_sanitizer``/``ensure_sanitizer``, and
+  ``SubmitOptions(sanitize=...)`` all normalise through the same domain
+  vocabulary.
 """
 
 import random
@@ -24,8 +26,10 @@ from repro.analysis.sanitize import (SANITIZE_SELFTESTS,
                                      install_sanitizer, normalize_domains,
                                      uninstall_sanitizer)
 from repro.api import SubmitOptions
-from repro.host import CallScheduler, shm
+from repro.host import shm
 from repro.image import ImageFormat, noise_frame
+from repro.pool import EnginePool
+from repro.pool.processes import WorkerProcesses
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -119,40 +123,47 @@ class TestDriverResidencyShim:
 
 
 class TestSanitizedCorpusClean:
-    def test_bit_exact_with_zero_error_findings(self):
+    def test_bit_exact_with_zero_error_findings(self, monkeypatch):
+        # Ship every call, so the domains ride along into the workers.
+        monkeypatch.setattr(WorkerProcesses, "_bypass",
+                            lambda self, call, amortized: False)
         rng = random.Random(0xFA57)
         calls = [_random_batch_call(rng) for _ in range(26)]
-        with CallScheduler(max_workers=2,
-                           sanitize=("all",)) as scheduler:
-            assert scheduler.sanitize_domains == ("pool", "residency",
-                                                  "transport")
+        sanitizer = install_sanitizer(("all",))
+        assert tuple(sorted(sanitizer.domains)) == ("pool", "residency",
+                                                    "transport")
+        with EnginePool.of_engines(2) as pool:
             lib = AddressLib(SoftwareBackend())
-            results = lib.run_batch(calls, scheduler=scheduler)
-            for call, got in zip(calls, results):
-                _assert_same(got, _serial_reference(call))
-            errors = [d for d in scheduler.sanitizer_findings
-                      if d.severity.name == "ERROR"]
-            assert errors == []
+            results = lib.run_batch(calls, pool=pool)
+            assert pool.report().transport.pool_calls == len(calls)
+        for call, got in zip(calls, results):
+            _assert_same(got, _serial_reference(call))
+        errors = [d for d in sanitizer.drain()
+                  if d.severity.name == "ERROR"]
+        assert errors == []
 
-    def test_unsanitized_scheduler_stays_dormant(self):
-        with CallScheduler(max_workers=1) as scheduler:
-            assert scheduler.sanitize_domains == ()
+    def test_unsanitized_scheduler_stays_dormant(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        calls = [BatchCall.intra(op, noise_frame(ImageFormat("S8", 8, 8),
+                                                 seed=1))
+                 for op in _INTRA[:3]]
+        with EnginePool.of_engines(1) as pool:
+            pool.compute_batch(calls)
         assert active_sanitizer() is None
 
 
 class TestArmingSurfaces:
     def test_env_var_pickup(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "transport, residency")
-        with CallScheduler(max_workers=1) as scheduler:
-            assert scheduler.sanitize_domains == ("residency",
-                                                  "transport")
-        assert active_sanitizer() is not None
-
-    def test_explicit_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "pool")
-        with CallScheduler(max_workers=1,
-                           sanitize=("transport",)) as scheduler:
-            assert scheduler.sanitize_domains == ("transport",)
+        calls = [BatchCall.intra(op, noise_frame(ImageFormat("S8", 8, 8),
+                                                 seed=2))
+                 for op in _INTRA[:2]]
+        with EnginePool.of_engines(1) as pool:
+            assert active_sanitizer() is None
+            pool.compute_batch(calls)
+        sanitizer = active_sanitizer()
+        assert sanitizer is not None
+        assert sorted(sanitizer.domains) == ["residency", "transport"]
 
     def test_submit_options_normalises(self):
         options = SubmitOptions(sanitize=("all",))

@@ -17,7 +17,8 @@ from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
 from repro.api import (AdmissionController, AdmissionPolicy, EnginePool,
                        EngineService, Priority, SubmitOptions)
 from repro.core import intra_config
-from repro.host import AddressEngineDriver, EngineBackend
+from repro.gme import GlobalMotionEstimator, GmeApplication
+from repro.host import AddressEngineDriver, EngineBackend, software_platform
 from repro.image import ImageFormat, noise_frame
 from repro.service import MicroBatcher, RequestQueue
 
@@ -145,8 +146,9 @@ def _driver_call(*args):
 #: Every spelling the retired deprecation shims used to accept, by the
 #: lint rule that policed it (R1 positional scheduler, R2 loose
 #: metadata keywords, R3 extra positionals, R5 loose service knobs),
-#: plus the pre-policy queue/batcher knobs and the single-worker
-#: ``lib=``/``scheduler=``/``virtual_engines=`` service shape.
+#: plus the pre-policy queue/batcher knobs, the single-worker
+#: ``lib=``/``scheduler=``/``virtual_engines=`` service shape, and the
+#: offline ``scheduler=`` keyword that became ``pool=``.
 REMOVED_SPELLINGS = [
     pytest.param(lambda: AddressLib().run_batch([_call()], None),
                  id="R1-run_batch-positional-scheduler"),
@@ -189,6 +191,15 @@ REMOVED_SPELLINGS = [
                  id="service-virtual_engines"),
     pytest.param(lambda: EngineService(EnginePool.of_engines(1)),
                  id="service-positional-pool"),
+    pytest.param(lambda: AddressLib().run_batch([_call()],
+                                                scheduler=None),
+                 id="run_batch-scheduler"),
+    pytest.param(lambda: GlobalMotionEstimator(AddressLib(),
+                                               scheduler=None),
+                 id="gme-estimator-scheduler"),
+    pytest.param(lambda: GmeApplication(software_platform(),
+                                        scheduler=None),
+                 id="gme-application-scheduler"),
 ]
 
 

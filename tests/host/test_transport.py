@@ -1,11 +1,14 @@
 """Zero-copy transport: plane store, worker cache, and fallbacks.
 
-The scheduler must hand back *indistinguishable* results whichever way
-the bytes travelled: shared-memory handles, whole-frame pickles, the
-cost-model inline bypass, or the inline fallback after a worker death.
-This harness drives the 0xFA57 corpus recipe through every transport
-mode and pins down the segment lifecycle -- registration dedupe,
-generation bumps on mutation, weakref release, and leak-free teardown.
+An engine pool must hand back *indistinguishable* results whichever
+way the bytes travelled to its worker processes: shared-memory handles,
+whole-frame pickles, the cost-model inline bypass, or the inline
+fallback after a worker death.  This harness drives the 0xFA57 corpus
+recipe through every transport and pool size and pins down the segment
+lifecycle -- registration dedupe, generation bumps on mutation, weakref
+release, and leak-free teardown.  Tests that need a transport replace
+the decision, never a knob: they patch the bypass method or switch
+shared memory off.
 """
 
 import gc
@@ -16,9 +19,11 @@ import pytest
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_BOX3,
                               INTRA_GRAD, INTRA_OPS, SoftwareBackend,
                               VectorExecutor)
-from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
+from repro.host import SHARED_MEMORY_AVAILABLE
 from repro.host import shm
 from repro.image import ImageFormat, noise_frame
+from repro.pool import EnginePool
+from repro.pool.processes import WorkerProcesses
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -62,6 +67,20 @@ def _assert_same(got, want):
         assert got == want
     else:
         assert got.equals(want)
+
+
+@pytest.fixture
+def force_shipping(monkeypatch):
+    """Every shippable call goes to a worker process, even on one CPU."""
+    monkeypatch.setattr(WorkerProcesses, "_bypass",
+                        lambda self, call, amortized: False)
+
+
+@pytest.fixture
+def force_bypass(monkeypatch):
+    """Every shippable call stays inline in the parent."""
+    monkeypatch.setattr(WorkerProcesses, "_bypass",
+                        lambda self, call, amortized: True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +234,11 @@ def _corpus_shard(shard):
     return [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
 
 
-def _run_corpus(scheduler):
+def _run_corpus(pool):
     lib = AddressLib(SoftwareBackend())
     for shard in range(SHARDS):
         calls = _corpus_shard(shard)
-        results = lib.run_batch(calls, scheduler=scheduler)
+        results = lib.run_batch(calls, pool=pool)
         assert len(results) == len(calls)
         for call, got in zip(calls, results):
             _assert_same(got, _serial_reference(call))
@@ -227,29 +246,53 @@ def _run_corpus(scheduler):
 
 class TestCorpusAcrossTransports:
     @needs_shm
-    def test_shared_memory_transport(self):
-        with CallScheduler(max_workers=2, bypass="never") as sched:
-            _run_corpus(sched)
-            stats = sched.transport_stats()
-        assert stats["pool_calls"] > 0
-        assert stats["shm_calls"] == stats["pool_calls"]
-        assert stats["pickle_calls"] == 0
+    def test_shared_memory_transport(self, force_shipping):
+        with EnginePool.of_engines(2) as pool:
+            _run_corpus(pool)
+            books = pool.report().transport
+        assert books.pool_calls > 0
+        assert books.shm_calls == books.pool_calls
+        assert books.pickle_calls == 0
 
-    def test_pickle_transport(self):
-        with CallScheduler(max_workers=2, transport="pickle",
-                           bypass="never") as sched:
-            _run_corpus(sched)
-            stats = sched.transport_stats()
-        assert stats["pool_calls"] > 0
-        assert stats["pickle_calls"] == stats["pool_calls"]
-        assert stats["shm_calls"] == 0
+    def test_pickle_transport(self, force_shipping, monkeypatch):
+        monkeypatch.setattr(shm, "SHARED_MEMORY_AVAILABLE", False)
+        with EnginePool.of_engines(2) as pool:
+            _run_corpus(pool)
+            books = pool.report().transport
+        assert books.pool_calls > 0
+        assert books.pickle_calls == books.pool_calls
+        assert books.shm_calls == 0
 
-    def test_inline_bypass(self):
-        with CallScheduler(max_workers=2, bypass="always") as sched:
-            _run_corpus(sched)
-            stats = sched.transport_stats()
-        assert stats["pool_calls"] == 0
-        assert stats["bypass_calls"] > 0
+    def test_inline_bypass(self, force_bypass):
+        with EnginePool.of_engines(2) as pool:
+            _run_corpus(pool)
+            books = pool.report().transport
+        assert books.pool_calls == 0
+        assert books.bypass_calls > 0
+
+
+class TestCorpusAcrossPoolSizes:
+    """The 208-case corpus through pools of one to four boards, each
+    inline and process-shipped (forced, so a one-CPU host runs both)."""
+
+    @pytest.mark.parametrize("boards", [1, 2, 3, 4])
+    def test_inline(self, boards, force_bypass):
+        with EnginePool.of_engines(boards) as pool:
+            _run_corpus(pool)
+            books = pool.report().transport
+        assert books.pool_calls == 0
+        assert books.bypass_calls == SHARDS * CASES_PER_SHARD
+
+    @pytest.mark.parametrize("boards", [1, 2, 3, 4])
+    def test_process_shipped(self, boards, force_shipping):
+        with EnginePool.of_engines(boards) as pool:
+            _run_corpus(pool)
+            books = pool.report().transport
+            calls_routed = pool.report().calls_routed
+        assert books.pool_calls == SHARDS * CASES_PER_SHARD
+        # One round trip per board share per wave.
+        assert books.round_trips == SHARDS * min(boards, CASES_PER_SHARD)
+        assert calls_routed == SHARDS * CASES_PER_SHARD
 
 
 # ---------------------------------------------------------------------------
@@ -258,70 +301,73 @@ class TestCorpusAcrossTransports:
 
 @needs_shm
 class TestWorkerDeath:
-    def test_dead_workers_fall_back_inline_without_leaks(self):
+    def test_dead_workers_fall_back_inline_without_leaks(
+            self, force_shipping):
         frame_a = noise_frame(QCIF, seed=20)
         frame_b = noise_frame(QCIF, seed=21)
         calls = [BatchCall.intra(INTRA_BOX3, frame_a),
                  BatchCall.intra(INTRA_GRAD, frame_b)]
         lib = AddressLib(SoftwareBackend())
-        sched = CallScheduler(max_workers=2, bypass="never")
+        pool = EnginePool.of_engines(2)
         try:
-            # One healthy wave to spawn the workers and map segments.
-            lib.run_batch(calls, scheduler=sched)
-            assert sched.total.pool_calls == 2
-            store = sched._resources.store
+            # One healthy wave to start the workers and map segments.
+            lib.run_batch(calls, pool=pool)
+            assert pool.report().transport.pool_calls == 2
+            resources = pool._processes._resources
+            store = resources.store
             assert store is not None
             names = store.active_segment_names()
             assert names
             # Kill every worker process out from under the pool.
-            pool = sched._resources.pool
-            for process in pool._processes.values():
+            executor = resources.executor
+            for process in executor._processes.values():
                 process.terminate()
-            for process in pool._processes.values():
+            for process in executor._processes.values():
                 process.join()
-            results = lib.run_batch(calls, scheduler=sched)
-            assert sched._pool_broken
-            assert sched.last_report.inline_calls == 2
+            results = lib.run_batch(calls, pool=pool)
+            assert pool._processes._broken
+            books = pool.report().transport
+            assert books.inline_calls == 2
+            assert books.pool_calls == 2
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
                 VectorExecutor.intra(INTRA_GRAD, frame_b))
         finally:
-            sched.close()
+            pool.close()
         # Teardown left no named segments behind.
         for name in names:
             with pytest.raises(Exception):
                 shm._attach_segment(name)
 
-    def test_generation_bump_reaches_real_workers(self):
+    def test_generation_bump_reaches_real_workers(self, force_shipping):
         frame = noise_frame(QCIF, seed=22)
         calls = [BatchCall.intra(INTRA_BOX3, frame),
                  BatchCall.intra(INTRA_GRAD, frame)]
         lib = AddressLib(SoftwareBackend())
-        with CallScheduler(max_workers=2, bypass="never") as sched:
-            lib.run_batch(calls, scheduler=sched)
+        with EnginePool.of_engines(2) as pool:
+            lib.run_batch(calls, pool=pool)
             frame.y[:] ^= 5
-            results = lib.run_batch(calls, scheduler=sched)
-            store_stats = sched.transport_stats()["store"]
-            assert store_stats["generation_bumps"] >= 1
+            results = lib.run_batch(calls, pool=pool)
+            assert pool._processes._resources.store.generation_bumps >= 1
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
         assert results[1].equals(VectorExecutor.intra(INTRA_GRAD, frame))
 
 
 @needs_shm
 class TestTeardown:
-    def test_abandoned_scheduler_releases_segments(self):
+    def test_abandoned_scheduler_releases_segments(self, force_shipping):
         frame_a = noise_frame(QCIF, seed=23)
         frame_b = noise_frame(QCIF, seed=24)
         lib = AddressLib(SoftwareBackend())
-        sched = CallScheduler(max_workers=2, bypass="never")
+        pool = EnginePool.of_engines(2)
         lib.run_batch([BatchCall.intra(INTRA_BOX3, frame_a),
                        BatchCall.intra(INTRA_GRAD, frame_b)],
-                      scheduler=sched)
-        store = sched._resources.store
+                      pool=pool)
+        store = pool._processes._resources.store
         names = store.active_segment_names()
         assert names
-        del sched
+        del pool
         gc.collect()
         assert store.closed
         for name in names:
@@ -329,7 +375,7 @@ class TestTeardown:
                 shm._attach_segment(name)
 
     def test_close_is_reentrant(self):
-        sched = CallScheduler(max_workers=2)
-        sched.close()
-        sched.close()
-        assert sched.compute_batch([]) == []
+        pool = EnginePool.of_engines(2)
+        pool.close()
+        pool.close()
+        assert pool.compute_batch([]) == []

@@ -165,3 +165,54 @@ class TestCallFactory:
                 assert len(call.frames) == 2
                 saw_reduce = saw_reduce or call.reduce_to_scalar
         assert saw_intra and saw_inter and saw_reduce
+
+
+#: Values no rate, weight or time may take: each must be refused.
+JUNK = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0]
+
+
+class TestJunkInputsRejected:
+    """Non-finite and out-of-range inputs fail at construction: a NaN
+    rate used to pass the ``<= 0`` check and hang ``synthesize``, an
+    infinite one divided by zero inside it."""
+
+    @pytest.mark.parametrize("rate", JUNK)
+    def test_trace_rate(self, rate):
+        with pytest.raises(ValueError, match="rate_per_s"):
+            _spec(rate_per_s=rate)
+
+    @pytest.mark.parametrize("weight", JUNK)
+    def test_tenant_weight(self, weight):
+        with pytest.raises(ValueError, match="weight"):
+            TenantSpec("t", weight=weight)
+
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_seconds", float("nan")),
+        ("deadline_seconds", -0.5),
+        ("burst_factor", float("inf")),
+        ("burst_factor", float("nan")),
+        ("burst_fraction", float("nan")),
+        ("burst_cycle_requests", float("nan")),
+        ("burst_cycle_requests", 0.0),
+        ("max_retries", -1),
+    ])
+    def test_tenant_shape(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TenantSpec("t", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("requests", 0),
+        ("width", 0),
+        ("frame_pool", 0),
+        ("inter_fraction", float("nan")),
+        ("reduce_fraction", 1.5),
+    ])
+    def test_trace_shape(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _spec(**{field: value})
+
+    @pytest.mark.parametrize("factor", JUNK)
+    def test_scaled_load_factor(self, factor):
+        trace = ArrivalTrace.synthesize(_spec(requests=5))
+        with pytest.raises(ValueError, match="load_factor"):
+            trace.scaled(factor)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.addresslib import BatchCall, INTRA_GRAD
 from repro.api import EnginePool, EngineService, SubmitOptions
-from repro.host import BatchReport, RunReport
+from repro.host import RunReport
 from repro.image import ImageFormat, noise_frame
 from repro.perf import REPORT_SCHEMA_KEYS, base_report_dict
 
@@ -52,12 +52,17 @@ class TestEveryReportSpeaksTheSchema:
         assert all(key in books for key in REPORT_SCHEMA_KEYS)
 
     def test_batch_report(self):
-        books = BatchReport(calls=4, waves=2, workers=2,
-                            modeled_serial_seconds=1.0,
-                            modeled_pipelined_seconds=0.5).to_dict()
-        assert books["kind"] == "batch"
+        # An offline batch's books live on the pool report.
+        calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=s))
+                 for s in range(4)]
+        with EnginePool.of_engines(2) as pool:
+            pool.compute_batch(calls)
+            books = pool.report().to_dict()
+        assert books["kind"] == "pool"
         assert books["calls"] == 4 and books["shed"] == 0
-        assert books["modeled_speedup"] == pytest.approx(2.0)
+        transport = books["transport"]
+        assert (transport["pool_calls"] + transport["inline_calls"]
+                + transport["bypass_calls"]) == 4
         assert all(key in books for key in REPORT_SCHEMA_KEYS)
 
     def test_service_report_nests_the_pool_books(self):

@@ -1,26 +1,24 @@
 """Transport and pool books vs the shared report schema.
 
-``CallScheduler.transport_stats()`` and the ``WorkerReport``/
-``PoolReport`` books are the figures the BENCH emitters and
-``repro.summary`` read; this suite pins the scheduler's counter keys
-and the ``base_report_dict`` schema contract -- including the
-degenerate books nobody exercises by hand: a scheduler that never
-completed a call, and one that only ever bypassed inline.
+The pool's offline transport books (``PoolReport.transport``) and the
+``WorkerReport``/``PoolReport`` books are the figures the BENCH
+emitters and ``repro.summary`` read; this suite pins the transport
+counter keys and the ``base_report_dict`` schema contract -- including
+the degenerate books nobody exercises by hand: a pool that never ran an
+offline batch, and one that only ever bypassed inline.
 """
 
-import pytest
-
 from repro.addresslib import BatchCall, INTRA_GRAD
-from repro.host import CallScheduler
 from repro.image import ImageFormat, noise_frame
 from repro.perf import REPORT_SCHEMA_KEYS, base_report_dict
 from repro.pool import EnginePool, PoolReport
+from repro.pool.processes import WorkerProcesses
 from repro.pool.worker import WorkerReport
 
 QCIF = ImageFormat("QCIF", 176, 144)
 
-#: The counter keys ``CallScheduler.transport_stats()`` must emit as
-#: ints.
+#: The counter keys of ``PoolReport.to_dict()["transport"]`` that must
+#: be ints.
 TRANSPORT_COUNTER_KEYS = (
     "round_trips", "pool_calls", "inline_calls", "bypass_calls",
     "shm_calls", "pickle_calls", "worker_cache_hits",
@@ -38,34 +36,33 @@ def _assert_schema(payload):
 
 class TestSchedulerTransportStats:
     def test_zero_completion_books(self):
-        with CallScheduler(max_workers=2) as scheduler:
-            stats = scheduler.transport_stats()
+        with EnginePool.of_engines(2) as pool:
+            books = pool.report().to_dict()["transport"]
         for key in TRANSPORT_COUNTER_KEYS:
-            assert stats[key] == 0
-        assert stats["store"] == {}
-        assert stats["transport"] == "auto"
-        assert stats["bypass"] == "auto"
-        assert stats["round_trip_s"] is None
+            assert books[key] == 0
+        for key in ("ship_seconds", "compute_seconds", "gather_seconds"):
+            assert books[key] == 0.0
 
-    def test_bypass_only_books(self):
+    def test_bypass_only_books(self, monkeypatch):
+        monkeypatch.setattr(WorkerProcesses, "_bypass",
+                            lambda self, call, amortized: True)
         calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
                  for i in range(3)]
-        with CallScheduler(max_workers=2,
-                           bypass="always") as scheduler:
-            scheduler.compute_batch(calls)
-            stats = scheduler.transport_stats()
-        assert stats["bypass_calls"] == len(calls)
-        assert stats["pool_calls"] == 0
-        assert stats["shm_calls"] == 0
-        assert stats["pickle_calls"] == 0
-        assert stats["round_trips"] == 0
-        assert stats["worker_cache_hits"] == 0
+        with EnginePool.of_engines(2) as pool:
+            pool.compute_batch(calls)
+            books = pool.report().to_dict()["transport"]
+        assert books["bypass_calls"] == len(calls)
+        assert books["pool_calls"] == 0
+        assert books["shm_calls"] == 0
+        assert books["pickle_calls"] == 0
+        assert books["round_trips"] == 0
+        assert books["worker_cache_hits"] == 0
 
     def test_counters_are_ints(self):
-        with CallScheduler(max_workers=1) as scheduler:
-            stats = scheduler.transport_stats()
+        with EnginePool.of_engines(1) as pool:
+            books = pool.report().to_dict()["transport"]
             for key in TRANSPORT_COUNTER_KEYS:
-                assert isinstance(stats[key], int), key
+                assert isinstance(books[key], int), key
 
 
 class TestWorkerReportBooks:
