@@ -23,6 +23,7 @@ price it on the platform's host CPU.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -31,11 +32,12 @@ import numpy as np
 from ..addresslib.library import AddressLib, BatchCall
 from ..addresslib.ops import (INTER_ABSDIFF, INTRA_BOX3, INTRA_HOMOGENEITY,
                               INTRA_SOBEL_X, INTRA_SOBEL_Y)
+from ..checks import check_finite
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
 from ..image.synth import frame_from_luma
 from .motion_model import AffineModel
-from .warp import decimate2, warp_luma
+from .warp import coordinate_grid, decimate2, warp_luma
 
 if TYPE_CHECKING:
     from ..pool.pool import EnginePool
@@ -62,6 +64,18 @@ class GmeSettings:
     affine_at_finest: bool = True
     #: Subsample factor of the normal-equation sums (XM subsamples too).
     gn_subsample: int = 2
+
+    def __post_init__(self) -> None:
+        # Zero levels or iterations would make no inter calls at all
+        # (and report a Table 3 row anyway); a zero subsample is a zero
+        # slice step deep inside the solve.
+        for name in ("levels", "max_iterations_per_level", "gn_subsample"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        # A NaN tolerance fails every comparison: no early stop.
+        check_finite("convergence_tol", self.convergence_tol)
 
 
 @dataclass
@@ -103,8 +117,6 @@ class GlobalMotionEstimator:
         self.pool = pool
         self._charge = charge or (lambda instructions: None)
         self._format_cache: Dict[Tuple[int, int], ImageFormat] = {}
-        self._grid_cache: Dict[Tuple[int, int],
-                               Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- pyramids ----------------------------------------------------------------
 
@@ -134,13 +146,6 @@ class GlobalMotionEstimator:
             self._format_cache[shape] = ImageFormat(
                 f"GME{width}x{height}", width, height)
         return self._format_cache[shape]
-
-    def _grid_for(self, shape: Tuple[int, int]):
-        if shape not in self._grid_cache:
-            height, width = shape
-            ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-            self._grid_cache[shape] = (xs, ys)
-        return self._grid_cache[shape]
 
     # -- the estimator -------------------------------------------------------------
 
@@ -307,7 +312,7 @@ class GlobalMotionEstimator:
             dty = (a11 * b2 - a12 * b1) / det
             return np.array([0.0, 0.0, dtx, 0.0, 0.0, dty])
 
-        xs, ys = self._grid_for(ref.luma.shape)
+        xs, ys = coordinate_grid(*ref.luma.shape)
         xs = xs[sub][mask]
         ys = ys[sub][mask]
         # Normalise coordinates for conditioning; unscale the deltas after.

@@ -6,24 +6,56 @@
 estimator aligns the *current* frame to the *reference* by warping with
 the current motion estimate; the validity mask keeps border pixels out
 of the residual statistics.
+
+The bits of a warped plane are part of the API.  The estimator's SADs,
+hence its convergence and every Table 3 call count and modeled second,
+depend on them, so the evaluation order is fixed: with
+``(sx, sy) = model.apply(x, y)``, ``fx = sx - floor(sx)`` and ``p00``
+to ``p11`` the four neighbours of ``(floor(sx), floor(sy))``, each
+valid output sample is, in float64 and in this order,
+``(p00 * (1 - fx) + p01 * fx) * (1 - fy)
++ (p10 * (1 - fx) + p11 * fx) * fy``.  A faster version must perform
+the same operations on the same operands in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
 
+@lru_cache(maxsize=16)
+def coordinate_grid(height: int, width: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The float64 pixel-coordinate planes ``(xs, ys)`` of a
+    ``height x width`` image, built once per shape and shared.
+
+    Both planes are read-only: callers index or broadcast them and
+    never write to them.
+    """
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    return xs, ys
+
+
+#: Output rows per block of :func:`warp_luma`: a block's coordinate,
+#: index and sample planes stay in cache from gather to blend.
+WARP_BLOCK_ROWS = 32
+
+
 def warp_luma(luma: np.ndarray, model, fill: float = 0.0,
-              output_shape: Tuple[int, int] = None
+              output_shape: Optional[Tuple[int, int]] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Warp a luminance plane through a motion model.
 
     Args:
-        luma: Source plane (any numeric dtype; promoted to float64).
-        model: A motion model with ``apply(xs, ys)``; maps *output*
-            coordinates to *source* coordinates.
+        luma: Source plane (any numeric dtype; read as float64, and
+            neither copied nor written when it already is float64).
+        model: A motion model with an elementwise ``apply(xs, ys)``;
+            maps *output* coordinates to *source* coordinates.
         fill: Value written where the source sample falls outside.
         output_shape: ``(height, width)`` of the result; defaults to the
             source shape.
@@ -31,29 +63,75 @@ def warp_luma(luma: np.ndarray, model, fill: float = 0.0,
     Returns:
         ``(warped, valid)`` -- the warped float64 plane and a boolean
         mask of pixels whose source sample was fully inside the frame.
+        Source coordinates that are not finite (a NaN or infinite model
+        parameter) are invalid.  Both arrays are fresh and writable.
     """
     src_height, src_width = luma.shape
-    out_height, out_width = output_shape or luma.shape
-    source = luma.astype(np.float64)
-    ys, xs = np.mgrid[0:out_height, 0:out_width].astype(np.float64)
-    width, height = src_width, src_height
-    sx, sy = model.apply(xs, ys)
+    shape = tuple(output_shape or luma.shape)
+    if src_width < 2 or src_height < 2:
+        # No sample has four neighbours inside the frame.
+        return np.full(shape, fill, dtype=np.float64), np.zeros(shape, bool)
+    source = np.asarray(luma, dtype=np.float64).ravel()
+    xs, ys = coordinate_grid(*shape)
+    warped = np.empty(shape, dtype=np.float64)
+    valid = np.empty(shape, dtype=bool)
+    # Non-finite coordinates are invalid; the NaN and infinity they
+    # spread through the arithmetic are masked below, not warned about.
+    with np.errstate(all="ignore"):
+        for start in range(0, shape[0], WARP_BLOCK_ROWS):
+            rows = slice(start, start + WARP_BLOCK_ROWS)
+            _warp_rows(source, src_width, src_height, model, xs[:1],
+                       ys[rows, :1], fill, warped[rows], valid[rows])
+    return warped, valid
 
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
+
+def _warp_rows(source: np.ndarray, width: int, height: int, model,
+               xs: np.ndarray, ys: np.ndarray, fill: float,
+               warped: np.ndarray, valid: np.ndarray) -> None:
+    """Warp one block of output rows into ``warped`` and ``valid``.
+
+    ``xs`` is one row and ``ys`` one column of the output grid: the
+    model is elementwise, so broadcasting applies the same operations
+    to the same operands per pixel.  ``source`` is the flattened
+    ``height x width`` source plane.
+    """
+    sx, sy = (np.broadcast_to(coordinate, warped.shape)
+              for coordinate in model.apply(xs, ys))
+    # For finite coordinates these compares equal the integer
+    # ``0 <= floor(s) < size - 1``; NaN compares false.
+    np.greater_equal(sx, 0, out=valid)
+    valid &= sx < width - 1
+    valid &= sy >= 0
+    valid &= sy < height - 1
+    invalid = ~valid
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    valid = (x0 >= 0) & (y0 >= 0) & (x0 < width - 1) & (y0 < height - 1)
-
-    x0c = np.clip(x0, 0, width - 2)
-    y0c = np.clip(y0, 0, height - 2)
-    top = (source[y0c, x0c] * (1 - fx)
-           + source[y0c, x0c + 1] * fx)
-    bottom = (source[y0c + 1, x0c] * (1 - fx)
-              + source[y0c + 1, x0c + 1] * fx)
-    warped = top * (1 - fy) + bottom * fy
-    warped = np.where(valid, warped, fill)
-    return warped, valid
+    # One flat index per pixel; the other three neighbours are the same
+    # index into the source shifted by 1, width and width + 1.
+    index = y0 * width
+    index += x0
+    np.copyto(index, 0.0, where=invalid)
+    index = index.astype(np.intp)
+    # Every index is in range; "clip" lets ``take`` write ``out``
+    # directly instead of through a buffer.
+    source.take(index, out=warped, mode="clip")
+    right = source[1:].take(index)
+    below = source[width:].take(index)
+    below_right = source[width + 1:].take(index)
+    weight = 1 - fx
+    warped *= weight
+    right *= fx
+    warped += right  # top row of the bilinear blend
+    below *= weight
+    below_right *= fx
+    below += below_right  # bottom row
+    np.subtract(1, fy, out=weight)
+    warped *= weight
+    below *= fy
+    warped += below
+    warped[invalid] = fill
 
 
 def decimate2(luma: np.ndarray) -> np.ndarray:

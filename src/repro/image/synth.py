@@ -67,6 +67,11 @@ def noise_frame(fmt: ImageFormat, seed: Optional[int] = None) -> Frame:
     return frame
 
 
+#: Rows per block of :func:`textured_panorama`.  A block's canvas rows
+#: and its two scratch rows stay in cache while all octaves are summed.
+PANORAMA_BLOCK_ROWS = 16
+
+
 def textured_panorama(width: int, height: int,
                       seed: Optional[int] = None,
                       octaves: int = 4) -> np.ndarray:
@@ -76,11 +81,29 @@ def textured_panorama(width: int, height: int,
     enough that gradient-based motion estimation converges, textured enough
     that the SAD error surface has a clear minimum.  Used as the scene that
     synthetic camera paths pan across (see :mod:`repro.gme.sequences`).
+
+    The bits of the result are part of the API: every GME frame is
+    sampled from this panorama, and the Table 3 books (call counts and
+    modeled seconds) depend on those samples.  Each octave's bilinear
+    upsample of its coarse lattice ``c`` is, per pixel and in this order,
+    ``((c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx)
+    + c10 * fy * (1 - fx)) + c11 * fy * fx`` in float64; the octaves
+    are accumulated as ``canvas += amplitude * layer`` from a zero
+    canvas, then the canvas is divided by the total amplitude, shifted
+    to a zero minimum and scaled to a peak of 255.  A faster version
+    must perform the same operations on the same operands in the same
+    order.  This one forms the row factors once per octave
+    (``c[y0] * (1 - fy)``, ``c[y0 + 1] * fy``), then gathers their
+    columns and sums all octaves one block of rows at a time, in cache.
     """
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     if octaves < 1:
         raise ValueError("need at least one octave")
     rng = _rng(seed)
-    canvas = np.zeros((height, width), dtype=np.float64)
+    layers = []
     amplitude = 1.0
     total_amplitude = 0.0
     for octave in range(octaves):
@@ -92,17 +115,39 @@ def textured_panorama(width: int, height: int,
         y0 = np.clip(ys.astype(int), 0, cells - 1)
         x0 = np.clip(xs.astype(int), 0, cells - 1)
         fy = (ys - y0)[:, None]
-        fx = (xs - x0)[None, :]
-        c00 = coarse[np.ix_(y0, x0)]
-        c01 = coarse[np.ix_(y0, x0 + 1)]
-        c10 = coarse[np.ix_(y0 + 1, x0)]
-        c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
-        layer = (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
-                 + c10 * fy * (1 - fx) + c11 * fy * fx)
-        canvas += amplitude * layer
+        fx = xs - x0
+        # Row factors, (height, cells + 1): top[i, k] is bit for bit
+        # the ``c[y0, k] * (1 - fy)`` of every column that samples k.
+        top = coarse[y0] * (1 - fy)
+        bottom = coarse[y0 + 1] * fy
+        layers.append((amplitude, top, bottom, x0, x0 + 1, 1 - fx, fx))
         total_amplitude += amplitude
         amplitude *= 0.55
-    canvas /= total_amplitude
+
+    canvas = np.zeros((height, width), dtype=np.float64)
+    term = np.empty((min(PANORAMA_BLOCK_ROWS, height), width))
+    part = np.empty_like(term)
+    for start in range(0, height, PANORAMA_BLOCK_ROWS):
+        rows = canvas[start:start + PANORAMA_BLOCK_ROWS]
+        count = rows.shape[0]
+        layer, scratch = term[:count], part[:count]
+        for amplitude, top, bottom, x0, x1, gx, fx in layers:
+            top_rows = top[start:start + count]
+            bottom_rows = bottom[start:start + count]
+            np.take(top_rows, x0, axis=1, out=layer, mode="clip")
+            layer *= gx
+            np.take(top_rows, x1, axis=1, out=scratch, mode="clip")
+            scratch *= fx
+            layer += scratch
+            np.take(bottom_rows, x0, axis=1, out=scratch, mode="clip")
+            scratch *= gx
+            layer += scratch
+            np.take(bottom_rows, x1, axis=1, out=scratch, mode="clip")
+            scratch *= fx
+            layer += scratch
+            layer *= amplitude
+            rows += layer
+        rows /= total_amplitude
     # Stretch to the full 8-bit range but keep float precision for sampling.
     canvas -= canvas.min()
     peak = canvas.max()
