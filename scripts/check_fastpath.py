@@ -1,13 +1,20 @@
-"""Ad-hoc fast-path vs per-cycle equivalence sweep (development aid).
+"""Fast-path vs per-cycle equivalence sweep (a CI gate).
 
-Besides cycle-exact state equivalence, every case also checks that the
-static analyzer's fast-path prediction
-(:func:`repro.analysis.predict_fast_path`) agrees with the dispatch
-decision the engine actually took -- one source of truth for the
-eligibility regime, enforced here and in the integration suite.
+Runs every intra and inter op -- ``intra_grad`` (stage-3 latency 3),
+``intra_median3`` (4) and a synthetic latency-5 intra op included --
+plus the reduce, full-frame and resident call shapes on four small
+geometries, once per stepper, and compares every cycle-level
+observable.  Every case also checks that the static analyzer's
+fast-path prediction (:func:`repro.analysis.predict_fast_path`) agrees
+with the dispatch decision the engine actually took -- one source of
+truth for the eligibility regime, enforced here and in the integration
+suite.  Exits non-zero on any mismatch or disagreement.
+
+Usage: ``PYTHONPATH=src python scripts/check_fastpath.py``
 """
 import sys
 import time
+from dataclasses import replace
 
 from repro.addresslib import INTER_OPS, INTRA_OPS
 from repro.analysis import EngineParams, predict_fast_path
@@ -17,6 +24,10 @@ from repro.image import ImageFormat, noise_frame
 FAST = AddressEngine(fast_path=True)
 SLOW = AddressEngine(fast_path=False)
 FAST_PARAMS = EngineParams.from_engine(FAST)
+#: A synthetic op whose FLOW period (five engine cycles for two pixels)
+#: no shipped op has.
+INTRA_LATENCY5 = replace(INTRA_OPS["intra_box3"], name="intra_box3_lat5",
+                         engine_cycles=5)
 
 
 def snap(run):
@@ -88,6 +99,8 @@ def main():
         for name, op in sorted(INTRA_OPS.items()):
             ok &= compare(f"intra:{name}:{fmt.name}",
                           intra_config(op, fmt), frame)
+        ok &= compare(f"intra:{INTRA_LATENCY5.name}:{fmt.name}",
+                      intra_config(INTRA_LATENCY5, fmt), frame)
         for name, op in sorted(INTER_OPS.items()):
             ok &= compare(f"inter:{name}:{fmt.name}",
                           inter_config(op, fmt), frame, frame_b)

@@ -33,6 +33,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_count
 from .addressing import CON_0, CON_8, Neighbourhood
 from .profiling import InstructionCost
 
@@ -103,6 +104,11 @@ class InterOp:
     #: Stage-3 latency of the engine datapath, in engine cycles.
     engine_cycles: int = 1
 
+    def __post_init__(self) -> None:
+        # The engine's pipeline period divides by the latency; zero or a
+        # negative one would otherwise run as if it were one.
+        check_count(f"{self.name}.engine_cycles", self.engine_cycles)
+
     def apply_scalar(self, a: int, b: int) -> int:
         return self.scalar(a, b)
 
@@ -127,7 +133,13 @@ class IntraOp:
     scalar: Callable[[Sequence[int]], int]
     vector: Callable[[Sequence[np.ndarray]], np.ndarray]
     cost: InstructionCost
+    #: Stage-3 latency of the engine datapath, in engine cycles.
     engine_cycles: int = 1
+
+    def __post_init__(self) -> None:
+        # The engine's pipeline period divides by the latency; zero or a
+        # negative one would otherwise run as if it were one.
+        check_count(f"{self.name}.engine_cycles", self.engine_cycles)
 
     def apply_scalar(self, values: Sequence[int]) -> int:
         if len(values) != self.neighbourhood.size:

@@ -123,8 +123,8 @@ def predict_fast_path(config: EngineConfig,
     """
     params = params or _DEFAULT_PARAMS
     reasons = tuple(fast_path_blockers(
-        config.op.engine_cycles, config.fmt.strips,
-        params.plc_ticks_per_cycle, params.input_txu_ticks_per_cycle))
+        config.fmt.strips, params.plc_ticks_per_cycle,
+        params.input_txu_ticks_per_cycle))
     if not params.fast_path:
         reasons = ("disabled",) + reasons
     return FastPathPrediction(eligible=not reasons, reasons=reasons)

@@ -132,9 +132,10 @@ def _broken_liveness() -> Tuple[CallProgram, EngineParams]:
 
 
 def _broken_fast_path() -> Tuple[CallProgram, EngineParams]:
-    """A long-latency op that must fall back per-cycle (FPA001)."""
-    fmt = ImageFormat("TOUR", 96, 96)
-    return (CallProgram.single(intra_config(INTRA_GRAD, fmt),
+    """A single-strip frame that never leaves warm-up/drain, so the
+    call must run per-cycle (FPA002)."""
+    fmt = ImageFormat("ONESTRIP", 96, 16)
+    return (CallProgram.single(intra_config(INTRA_BOX3, fmt),
                                name="broken_fast_path"), EngineParams())
 
 
@@ -194,7 +195,7 @@ SELFTEST_CASES: Dict[str, Tuple[
     "capacity": (_broken_capacity, "CAP001"),
     "hazard": (_broken_hazard, "HAZ001"),
     "liveness": (_broken_liveness, "LIV001"),
-    "fast-path": (_broken_fast_path, "FPA001"),
+    "fast-path": (_broken_fast_path, "FPA002"),
     "scheduling": (_serial_chain, "SCH001"),
     "service": (_unmeetable_deadline, "SVC001"),
     "placement": (_split_placement, "SVC002"),

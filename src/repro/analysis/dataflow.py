@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..addresslib.program import CallProgram, dependency_levels
+from ..checks import check_finite
 
 #: Event kinds a lowered plan may contain, in the vocabulary of the
 #: shared-memory transport (:mod:`repro.host.shm`) and the pool
@@ -84,6 +85,12 @@ class TransportParams:
     generation_checks: bool = True
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so the range checks below would
+        # let it (and the infinities) through on their own.
+        check_finite("boards", self.boards, positive=True)
+        check_finite("cache_capacity", self.cache_capacity, positive=True)
+        check_finite("fail_wave", self.fail_wave)
+        check_finite("close_after_wave", self.close_after_wave)
         if self.boards < 1:
             raise ValueError(f"boards must be >= 1, got {self.boards}")
         if self.placement not in PLACEMENTS:

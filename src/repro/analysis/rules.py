@@ -18,8 +18,7 @@ from typing import Dict, List, Optional
 from ..addresslib.addressing import MAX_NEIGHBOURHOOD_LINES, AddressingMode
 from ..addresslib.ops import IntraOp
 from ..core.config import EngineConfig
-from ..core.constraints import (FALLBACK_OP_LATENCY, FALLBACK_SINGLE_STRIP,
-                                FALLBACK_TICK_RATES, FAST_PATH_MAX_OP_CYCLES,
+from ..core.constraints import (FALLBACK_SINGLE_STRIP, FALLBACK_TICK_RATES,
                                 FAST_PATH_MIN_STRIPS, RESULT_BANK_PIXELS,
                                 default_max_cycles, fast_path_blockers,
                                 input_bank_words_needed, min_call_cycles)
@@ -71,8 +70,6 @@ RULES: Dict[str, Rule] = {r.rule_id: r for r in (
          "input TxU tick rate is zero: strips can never reach the IIM"),
     Rule("LIV004", Severity.WARNING, "liveness",
          "cycle bound below the engine default for this format"),
-    Rule("FPA001", Severity.INFO, "fast-path",
-         "op latency exceeds the batched stepper's regime"),
     Rule("FPA002", Severity.INFO, "fast-path",
          "single-strip format never leaves warm-up/drain"),
     Rule("FPA003", Severity.INFO, "fast-path",
@@ -114,7 +111,6 @@ RULES: Dict[str, Rule] = {r.rule_id: r for r in (
 
 #: Fallback reason code -> the FPA rule that reports it.
 _FALLBACK_RULE_IDS = {
-    FALLBACK_OP_LATENCY: "FPA001",
     FALLBACK_SINGLE_STRIP: "FPA002",
     FALLBACK_TICK_RATES: "FPA003",
 }
@@ -206,22 +202,16 @@ def liveness_rules(config: EngineConfig,
 
 def fast_path_rules(config: EngineConfig,
                     params: EngineParams) -> List[Diagnostic]:
-    """FPA001-FPA004: predict and explain the dispatch decision."""
+    """FPA002-FPA004: predict and explain the dispatch decision."""
     findings: List[Diagnostic] = []
     if not params.fast_path:
         findings.append(_diag(
             "FPA004", "fast_path=False on the engine: every call takes "
                       "the per-cycle reference loop"))
-    for reason in fast_path_blockers(config.op.engine_cycles,
-                                     config.fmt.strips,
+    for reason in fast_path_blockers(config.fmt.strips,
                                      params.plc_ticks_per_cycle,
                                      params.input_txu_ticks_per_cycle):
-        if reason == FALLBACK_OP_LATENCY:
-            message = (
-                f"{config.op.name} has stage-3 latency "
-                f"{config.op.engine_cycles} > {FAST_PATH_MAX_OP_CYCLES}: "
-                f"the call falls back to the per-cycle loop")
-        elif reason == FALLBACK_SINGLE_STRIP:
+        if reason == FALLBACK_SINGLE_STRIP:
             message = (
                 f"{config.fmt.name} has {config.fmt.strips} strip(s), "
                 f"fewer than {FAST_PATH_MIN_STRIPS}: the call never "

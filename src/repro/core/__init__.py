@@ -11,8 +11,8 @@ Table 1.
 from .config import (EngineConfig, EngineConfigError, IIM_LINES,
                      IIM_LINES_PER_IMAGE_INTER, OIM_LINES, inter_config,
                      intra_config)
-from .constraints import (FAST_PATH_MAX_OP_CYCLES, FAST_PATH_MIN_STRIPS,
-                          INPUT_TXU_TICKS_PER_CYCLE, PLC_TICKS_PER_CYCLE,
+from .constraints import (FAST_PATH_MIN_STRIPS, INPUT_TXU_TICKS_PER_CYCLE,
+                          PLC_TICKS_PER_CYCLE,
                           RESULT_BANK_PIXELS, default_max_cycles,
                           fast_path_blockers, min_call_cycles)
 from .errors import EngineDeadlock, deadlock_message
@@ -81,7 +81,6 @@ __all__ = [
     "EngineConfigError",
     "EngineDeadlock",
     "EngineRunResult",
-    "FAST_PATH_MAX_OP_CYCLES",
     "FAST_PATH_MIN_STRIPS",
     "INPUT_TXU_TICKS_PER_CYCLE",
     "IIM_LINES",

@@ -32,10 +32,6 @@ PLC_TICKS_PER_CYCLE = 2
 #: engine cycle and keep the doubled-rate Process Unit fed.
 INPUT_TXU_TICKS_PER_CYCLE = 2
 
-#: Highest stage-3 latency the batched fast-path stepper can plan for:
-#: the hand-traced FLOW signatures cover one- and two-cycle operations.
-FAST_PATH_MAX_OP_CYCLES = 2
-
 #: Fewest strips the fast path batches: single-strip frames never leave
 #: the warm-up/drain regime, so they run per-cycle.
 FAST_PATH_MIN_STRIPS = 2
@@ -45,7 +41,6 @@ FAST_PATH_MIN_STRIPS = 2
 RESULT_BANK_PIXELS = BANK_WORDS // 2
 
 #: Fast-path fallback reason codes (shared with the analyzer's FPA rules).
-FALLBACK_OP_LATENCY = "op_latency"
 FALLBACK_SINGLE_STRIP = "single_strip"
 FALLBACK_TICK_RATES = "tick_rates"
 
@@ -55,8 +50,7 @@ def default_max_cycles(pixels: int) -> int:
     return 80 * pixels + 200_000
 
 
-def fast_path_blockers(op_cycles: int, strips: int,
-                       plc_ticks_per_cycle: int,
+def fast_path_blockers(strips: int, plc_ticks_per_cycle: int,
                        input_txu_ticks_per_cycle: int) -> List[str]:
     """Why a call cannot use the batched fast-path stepper.
 
@@ -67,8 +61,6 @@ def fast_path_blockers(op_cycles: int, strips: int,
     it, so the regime boundaries cannot drift apart.
     """
     blockers = []
-    if op_cycles > FAST_PATH_MAX_OP_CYCLES:
-        blockers.append(FALLBACK_OP_LATENCY)
     if strips < FAST_PATH_MIN_STRIPS:
         blockers.append(FALLBACK_SINGLE_STRIP)
     if (plc_ticks_per_cycle != PLC_TICKS_PER_CYCLE

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.executor import VectorExecutor
+from ..checks import check_finite
 from ..image.frame import Frame
 from .config import EngineConfig, IIM_LINES, OIM_LINES
 from .constraints import (INPUT_TXU_TICKS_PER_CYCLE, PLC_TICKS_PER_CYCLE,
@@ -111,7 +112,12 @@ class AddressEngine:
         quantify the startpipeline and the double-rate memory domain.
         ``fast_path`` enables the cycle-exact batched stepper
         (:mod:`repro.core.fastpath`); disable it to force the per-cycle
-        reference loop."""
+        reference loop.  A clock that is not finite and positive, or a
+        negative or non-finite DMA overhead, is rejected: every modeled
+        second derives from them.  The tick rates stay unchecked so the
+        analyzer's liveness rules can report a zeroed one."""
+        check_finite("clock_hz", clock_hz, positive=True)
+        check_finite("dma_overhead_cycles", dma_overhead_cycles)
         self.clock_hz = clock_hz
         self.dma_overhead_cycles = dma_overhead_cycles
         self.plc_ticks_per_cycle = plc_ticks_per_cycle
@@ -121,16 +127,16 @@ class AddressEngine:
     def _fast_path_eligible(self, config: EngineConfig) -> bool:
         """Static regimes the batched stepper handles.
 
-        Anything else (long-latency ops, single-strip frames, ablated
-        tick rates) runs the per-cycle reference loop; the stepper itself
-        additionally bridges any *dynamic* regime it cannot batch.  The
-        regime boundaries live in
+        Anything else (single-strip frames, ablated tick rates) runs the
+        per-cycle reference loop; the stepper itself additionally bridges
+        any *dynamic* regime it cannot batch.  Every stage-3 latency is
+        in regime.  The regime boundaries live in
         :func:`repro.core.constraints.fast_path_blockers`, shared with
         the static analyzer's prediction.
         """
         return not fast_path_blockers(
-            config.op.engine_cycles, config.fmt.strips,
-            self.plc_ticks_per_cycle, self.input_txu_ticks_per_cycle)
+            config.fmt.strips, self.plc_ticks_per_cycle,
+            self.input_txu_ticks_per_cycle)
 
     # -- golden reference -----------------------------------------------------
 

@@ -29,9 +29,11 @@ harness in ``tests/integration/test_fastpath_equivalence.py``).
 
 Regimes the planner refuses to batch fall back to per-cycle stepping
 automatically (every ``0`` horizon is a bridge): pipeline warm-up and
-drain, operations with stage-3 latency above two cycles, single-strip
-frames, the readback-chases-producer port contention on the result bank,
-and the OIM-full throttle.  See ``docs/MODEL.md``.
+drain, single-strip frames, the readback-chases-producer port contention
+on the result bank, and the OIM-full throttle.  Steady FLOW is batched at
+any stage-3 latency, in whole periods of the pipeline's tick pattern
+(:attr:`~repro.core.plc.PixelLevelController.fast_flow_period`).  See
+``docs/MODEL.md``.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class FastStepper:
         self.H = fmt.height
         self.P = fmt.pixels
         self.words = ilc.input_words
-        self.u = plc.fast_flow_rate
+        self.latency = config.op.engine_cycles
+        self.period, self.pixels = plc.fast_flow_period
         self.produce = config.produces_image
         self.intra = config.mode is AddressingMode.INTRA
         self.channels = channels_of(config.channels)
@@ -274,30 +277,38 @@ class FastStepper:
         if output_txu is None:
             self._out_mode = "none"
         else:
-            pushes = self.u if (mode == PLC_FLOW and self.produce) else 0
+            pushing = mode == PLC_FLOW and self.produce
             occupancy = self.oim.occupancy
-            if occupancy == 0 and pushes == 0:
+            if pushing and self.pixels < self.period:
+                # Latency >= 3: fewer pushes than cycles, each popped in
+                # the cycle it lands (_plan_flow starts from an empty
+                # OIM); the cycles between find the OIM empty.
+                self._out_mode = "interleave"
+            elif occupancy == 0 and not pushing:
                 self._out_mode = "empty"
             else:
                 self._out_mode = "drain"
-                if pushes == 0:
+                if not pushing:
                     # Pure drain: one pop per cycle until the OIM dries.
                     caps.append(occupancy)
 
         window = min(caps)
+        if mode == PLC_FLOW:
+            window -= window % self.period  # whole FLOW periods only
         return window if window >= self.MIN_BATCH else 0
 
     def _plan_flow(self) -> int:
-        """Horizon of the PLC's steady FLOW: bounded by the scan, by the
-        lines currently resident in the IIM (no credit for lines arriving
-        mid-window -- conservative keeps it exact), by the next
-        line-releasing row-start fetch when a FIFO is full, and by the
-        OIM headroom."""
+        """Horizon of the PLC's steady FLOW, in engine cycles (a whole
+        number of periods): bounded by the scan, by the lines currently
+        resident in the IIM (no credit for lines arriving mid-window --
+        conservative keeps it exact), by the next line-releasing
+        row-start fetch when a FIFO is full, and by the OIM headroom.
+        The bounds are counted in pixel-cycles first."""
         plc = self.plc
-        u, W = self.u, self.W
+        W = self.W
         i1 = plc._s1.pixel_cycle
         f0 = i1 - 1  # next pixel-cycle stage 2 fetches
-        caps = [(self.P - 1 - i1) // u]
+        caps = [self.P - 1 - i1]
         row = f0 // W
         if self.intra:
             resident = self.iim.fifo(0).resident_range()
@@ -320,25 +331,29 @@ class FastStepper:
                 if row < low:
                     return 0
                 y_max = min(y_max, high)
-        fetchable = (y_max + 1) * W - f0
-        if fetchable < u:
-            return 0
-        caps.append(fetchable // u)
+        caps.append((y_max + 1) * W - f0)
         if any(state == TXU_FIFO_FULL for state, _ in self._txu_plans):
             # A row-start fetch releases IIM lines and would unfreeze the
             # stalled transmission unit mid-window; stop short of it.
             if f0 % W == 0:
                 return 0
-            caps.append(((row + 1) * W - f0) // u)
+            caps.append((row + 1) * W - f0)
         if self.produce:
-            headroom = self.oim.capacity_pixels - self.oim.occupancy
-            if u > 1:
-                # Intra-cycle peak: occ + u + (n-1)(u-1) must stay within
-                # capacity (pushes land before the same cycle's pop).
-                caps.append((headroom - u) // (u - 1) + 1)
-            elif headroom < 1:
+            occupancy = self.oim.occupancy
+            headroom = self.oim.capacity_pixels - occupancy
+            if self.latency == 1:
+                # Intra-cycle peak after n cycles: occ + 2 + (n - 1) must
+                # stay within capacity (pushes land before the same
+                # cycle's pop), i.e. n <= headroom - 1 cycles.
+                caps.append(2 * (headroom - 1))
+            elif self.latency == 2:
+                if headroom < 1:
+                    return 0
+            elif occupancy:
+                # Latency >= 3 drains a non-empty OIM faster than it
+                # fills: bridge until it is empty.
                 return 0
-        return min(caps)
+        return max(min(caps), 0) // self.pixels * self.period
 
     def _plan_frozen_iim(self) -> int:
         """Horizon of a stage-2 data stall: one cycle short of the moment
@@ -409,6 +424,13 @@ class FastStepper:
             self.output_txu.fast_advance_draining(cycles, self.res_lower,
                                                   self.res_upper)
             had_access = True
+        elif self._out_mode == "interleave":
+            pops = cycles // self.period * self.pixels
+            self.output_txu.fast_advance_draining(pops, self.res_lower,
+                                                  self.res_upper)
+            self.output_txu.fast_advance_empty(cycles - pops)
+            if not had_access:
+                self.zbt.count_access_cycles(pops)
         elif self._out_mode == "empty":
             self.output_txu.fast_advance_empty(cycles)
 
@@ -416,30 +438,30 @@ class FastStepper:
             self.zbt.count_access_cycles(cycles)
 
     def _advance_flow(self, cycles: int) -> None:
-        """``cycles`` engine cycles of steady FLOW in closed form.
+        """``cycles`` engine cycles (whole periods) of steady FLOW in
+        closed form.
 
-        Per cycle the pipeline issues/fetches/executes/retires ``u``
-        pixel-cycles (2 for one-cycle ops, 1 for two-cycle ops), so the
-        window moves ``k = u * cycles`` consecutive pixel-cycles through
-        every stage; the stage registers are re-materialized at the
-        window's final positions.
+        Each period issues/fetches/executes/retires ``pixels``
+        pixel-cycles, so the window moves ``k`` consecutive pixel-cycles
+        through every stage; the stage registers are re-materialized at
+        the window's final positions.  Per pixel-cycle at latency
+        ``L >= 2`` the execute tick and the store tick progress and
+        ``L - 1`` ticks count down stage 3 (the store tick among them);
+        at ``L = 1`` every tick progresses.
         """
         plc, pu = self.plc, self.pu
-        u, W = self.u, self.W
+        W = self.W
         i1 = plc._s1.pixel_cycle
-        k = u * cycles
+        k = cycles // self.period * self.pixels
         f0 = i1 - 1
         f_end = f0 + k
         stats = plc.stats
         ticks = cycles * self.plc_ticks_per_cycle
         stats.cycles += ticks
-        stats.active_cycles += ticks
+        stats.active_cycles += ticks if self.latency == 1 else 2 * k
         stats.issued_pixel_cycles += k
         stats.retired_pixel_cycles += k
-        if u == 1:
-            # Two-cycle ops burn one tick per cycle in the stage-3
-            # countdown.
-            stats.stall_op_busy += cycles
+        stats.stall_op_busy += (self.latency - 1) * k
         rows_started = (f_end - 1) // W - (f0 - 1) // W
         stats.loads += rows_started
         stats.shifts += k - rows_started
@@ -451,8 +473,12 @@ class FastStepper:
         pu.ops_executed += k
         if self.produce:
             pu.results_stored += k
-            first_retired = i1 - 3 if u == 2 else i1 - 2
-            peak = self.oim.occupancy + u + (u - 1) * (cycles - 1)
+            first_retired = i1 - 3 if self.latency == 1 else i1 - 2
+            # Pushes land before the same cycle's pop: latency 1 gains
+            # one pixel per cycle on top of the first cycle's two;
+            # longer latencies push at most one pixel per cycle.
+            peak = self.oim.occupancy + (cycles + 1 if self.latency == 1
+                                         else 1)
             self.oim.fast_push(
                 self.oim_pixels[first_retired:first_retired + k], peak)
         else:
@@ -486,14 +512,14 @@ class FastStepper:
         bundle, slots = self._make_bundle(issue_head - 2)
         plc._s3 = _Stage3State(bundle=bundle, cycles_remaining=1)
         self.pu.matrix._slots = slots
-        if self.u == 2 and self.produce:
+        if self.latency == 1 and self.produce:
             index = issue_head - 3
             plc._s4 = ResultPixel(pixel_cycle=index,
                                   position=(index % W, index // W),
                                   lower=int(self.res_lower[index]),
                                   upper=int(self.res_upper[index]))
             plc._s4_is_reduce_retire = False
-        elif self.u == 2:
+        elif self.latency == 1:
             plc._s4 = None
             plc._s4_is_reduce_retire = True
         else:

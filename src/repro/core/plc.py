@@ -23,9 +23,11 @@ any more pixel-cycles until this signal is enabled again".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .constraints import PLC_TICKS_PER_CYCLE
 from .instructions import InstructionKind
 from .process_unit import PixelBundle, ProcessUnit, ResultPixel
 
@@ -129,12 +131,19 @@ class PixelLevelController:
     # -- batched (fast-path) behaviour ----------------------------------------
 
     @property
-    def fast_flow_rate(self) -> int:
-        """Pixel-cycles issued/fetched/retired per *engine cycle* (two
-        ticks) in the steady FLOW regime: 2 for single-cycle operations,
-        1 for two-cycle operations (the stage-3 countdown halves the
-        throughput).  Only meaningful for ``engine_cycles <= 2``."""
-        return 2 if self.pu.config.op.engine_cycles == 1 else 1
+    def fast_flow_period(self) -> Tuple[int, int]:
+        """``(engine_cycles, pixel_cycles)`` of one steady-FLOW period.
+
+        At stage-3 latency ``k`` the pipeline retires one pixel-cycle
+        every ``k`` ticks (every tick for ``k = 1``), and an engine cycle
+        is :data:`PLC_TICKS_PER_CYCLE` ticks, so the tick pattern repeats
+        every ``lcm(k, 2)`` ticks: ``lcm(k, 2) / 2`` engine cycles that
+        retire ``lcm(k, 2) / k`` pixel-cycles -- (1, 2) for ``k = 1``,
+        (1, 1) for 2, (3, 2) for 3, (2, 1) for 4.
+        """
+        latency = self.pu.config.op.engine_cycles
+        ticks = math.lcm(latency, PLC_TICKS_PER_CYCLE)
+        return ticks // PLC_TICKS_PER_CYCLE, ticks // latency
 
     def fast_mode(self) -> str:
         """Classify the pipeline state at an engine-cycle boundary.
@@ -143,9 +152,20 @@ class PixelLevelController:
         signatures; anything else (warm-up, drain, mixed stalls, OIM
         back-pressure) returns :data:`PLC_IRREGULAR` and is simulated
         cycle by cycle.  The signatures below are exactly the states the
-        per-cycle :meth:`tick` reproduces after each full engine cycle of
-        the corresponding regime, hand-traced for ``engine_cycles`` 1 and
-        2 -- which is what makes the batched counter updates exact.
+        per-cycle :meth:`tick` reproduces after each full period
+        (:attr:`fast_flow_period`) of the corresponding regime, which is
+        what makes the batched counter updates exact.  Hand-traced:
+
+        * ``k = 1``: every tick executes, fetches, issues and retires,
+          so stage 4 always holds the previous result (or the reduce
+          retire flag);
+        * ``k >= 2``: FLOW is recognised at one canonical stage-3 phase,
+          the boundary just before stage 3 executes (countdown at 1,
+          stage 4 empty).  The execute tick also fetches and issues, the
+          next tick stores, and the remaining ``k - 2`` countdown ticks
+          make no progress.  For odd ``k`` the phase reaches an engine
+          boundary every other pixel-cycle; bridges run per-cycle until
+          it comes round.
         """
         if self.done:
             return PLC_DONE
@@ -155,15 +175,14 @@ class PixelLevelController:
                 and s3 is not None and s3.cycles_remaining == 1
                 and s2.pixel_cycle == s1.pixel_cycle - 1
                 and s3.bundle.pixel_cycle == s1.pixel_cycle - 2):
-            cycles = self.pu.config.op.engine_cycles
-            if cycles == 1:
-                if self.pu.config.reduce_to_scalar:
-                    if s4 is None and flag:
-                        return PLC_FLOW
-                elif s4 is not None and not flag \
-                        and s4.pixel_cycle == s1.pixel_cycle - 3:
+            if self.pu.config.op.engine_cycles > 1:
+                if s4 is None and not flag:
                     return PLC_FLOW
-            elif cycles == 2 and s4 is None and not flag:
+            elif self.pu.config.reduce_to_scalar:
+                if s4 is None and flag:
+                    return PLC_FLOW
+            elif s4 is not None and not flag \
+                    and s4.pixel_cycle == s1.pixel_cycle - 3:
                 return PLC_FLOW
         if s3 is None and s4 is None and not flag:
             if (s2 is not None and not self.pu.stage2_ready(s2.position)

@@ -23,7 +23,6 @@ price it on the platform's host CPU.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -32,7 +31,7 @@ import numpy as np
 from ..addresslib.library import AddressLib, BatchCall
 from ..addresslib.ops import (INTER_ABSDIFF, INTRA_BOX3, INTRA_HOMOGENEITY,
                               INTRA_SOBEL_X, INTRA_SOBEL_Y)
-from ..checks import check_finite
+from ..checks import check_count, check_finite
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
 from ..image.synth import frame_from_luma
@@ -70,10 +69,7 @@ class GmeSettings:
         # (and report a Table 3 row anyway); a zero subsample is a zero
         # slice step deep inside the solve.
         for name in ("levels", "max_iterations_per_level", "gn_subsample"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
         # A NaN tolerance fails every comparison: no early stop.
         check_finite("convergence_tol", self.convergence_tol)
 

@@ -1,11 +1,16 @@
-"""The pixel level controller: pipeline overlap, stalls, the arbiter."""
+"""The pixel level controller: pipeline overlap, stalls, the arbiter,
+and the steady FLOW signature the batched fast path keys on."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.addresslib import INTRA_COPY, INTRA_GRAD
 from repro.core import (Arbiter, ArbiterConflict, IIM_LINES,
                         InputIntermediateMemory, OutputIntermediateMemory,
-                        PixelLevelController, ProcessUnit, intra_config)
+                        PLC_TICKS_PER_CYCLE, PixelLevelController,
+                        ProcessUnit, intra_config)
+from repro.core.plc import PLC_FLOW
 from repro.image import ImageFormat, noise_frame
 
 FMT = ImageFormat("T6x4", 6, 4)
@@ -135,3 +140,43 @@ class TestStalls:
         for _ in range(10):
             plc.tick()
         assert plc.stats.retired_pixel_cycles >= issued - 1
+
+
+class TestFastFlowSignature:
+    @pytest.mark.parametrize("latency, period", [
+        (1, (1, 2)), (2, (1, 1)), (3, (3, 2)), (4, (2, 1)), (5, (5, 2))])
+    def test_period_is_lcm_of_latency_and_ticks(self, latency, period):
+        plc, _, _ = make_plc(replace(INTRA_COPY, engine_cycles=latency))
+        assert plc.fast_flow_period == period
+
+    @pytest.mark.parametrize("latency", [3, 4, 5])
+    def test_flow_exactly_at_the_canonical_phase(self, latency):
+        """FLOW is reported at an engine-cycle boundary iff stages 1-3
+        hold work, stage 4 is empty and the very next tick executes
+        stage 3 -- and those boundaries recur once per period, each
+        period retiring the period's pixel-cycles."""
+        fmt = ImageFormat("T12x8", 12, 8)
+        plc, _, _ = make_plc(replace(INTRA_COPY, engine_cycles=latency),
+                             fmt=fmt, oim_lines=fmt.height)
+        period, pixels = plc.fast_flow_period
+        flows = []
+        cycle = 0
+        while not plc.done:
+            mode = plc.fast_mode()
+            occupancy = plc.stage_occupancy()
+            ops_before = plc.pu.ops_executed
+            retired = plc.stats.retired_pixel_cycles
+            plc.tick()
+            executes_next = plc.pu.ops_executed > ops_before
+            canonical = (occupancy == (True, True, True, False)
+                         and executes_next)
+            assert (mode == PLC_FLOW) == canonical, (cycle, mode)
+            if canonical:
+                flows.append((cycle, retired))
+            for _ in range(PLC_TICKS_PER_CYCLE - 1):
+                if not plc.done:
+                    plc.tick()
+            cycle += 1
+        assert len(flows) > fmt.pixels // pixels - 4
+        for (c0, r0), (c1, r1) in zip(flows, flows[1:]):
+            assert (c1 - c0, r1 - r0) == (period, pixels)

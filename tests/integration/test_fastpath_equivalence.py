@@ -5,11 +5,13 @@ from the per-cycle reference loop: same completion cycle, same PLC
 stats, same per-bank ZBT access counts, same interrupts, same data.
 This harness drives randomized configurations (geometry, operation,
 reduce/special flags, residency) through both steppers and compares
-every observable, plus targeted tests for the out-of-regime fallbacks
-and the enriched deadlock diagnostics.
+every observable, plus targeted tests for stage-3 latencies beyond the
+prototype's one- and two-cycle ops, the out-of-regime fallbacks and the
+enriched deadlock diagnostics.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +30,13 @@ CASES_PER_SHARD = 26
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
+
+#: Stage-3 latencies whose FLOW period spans several engine cycles: 3 and
+#: 4 are ``intra_grad``'s and ``intra_median3``'s, 5 is synthetic.
+LONG_LATENCIES = (3, 4, 5)
+#: A two-strip frame and a many-strip one.
+LATENCY_FORMATS = (ImageFormat("P20x32", 20, 32),
+                   ImageFormat("P12x80", 12, 80))
 
 
 def _snapshot(run):
@@ -111,6 +120,27 @@ def _random_case(rng):
     return config, frames, resident
 
 
+def _latency_cases(latency, fmt):
+    """``(label, config, input count, resident)`` for every call shape,
+    with each op's stage-3 latency set to ``latency``."""
+    inter = replace(INTER_OPS["inter_absdiff"], engine_cycles=latency)
+    for name in ("intra_grad", "intra_median3"):
+        intra = replace(INTRA_OPS[name], engine_cycles=latency)
+        yield name, intra_config(intra, fmt), 1, None
+        yield f"{name}-resident", intra_config(intra, fmt), 1, [True]
+    yield "inter", inter_config(inter, fmt), 2, None
+    yield ("inter-reduce", inter_config(inter, fmt, reduce_to_scalar=True),
+           2, None)
+    yield ("full-frames",
+           inter_config(inter, fmt, requires_full_frames=True), 2, None)
+    yield ("full-frames-reduce",
+           inter_config(inter, fmt, reduce_to_scalar=True,
+                        requires_full_frames=True), 2, None)
+    yield "inter-resident", inter_config(inter, fmt), 2, [True, False]
+    yield ("reduce-resident",
+           inter_config(inter, fmt, reduce_to_scalar=True), 2, [True, True])
+
+
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("shard", range(SHARDS))
     def test_randomized_equivalence(self, shard):
@@ -127,17 +157,30 @@ class TestFastPathEquivalence:
         assert run.fast_path_used
 
 
-class TestFastPathFallbacks:
-    def test_long_latency_op_falls_back_and_matches(self):
-        # Stage-3 latency above two cycles: outside the batched FLOW
-        # signatures, so the engine must use the per-cycle loop -- and
-        # still produce the identical run.
+class TestLongLatencyEquivalence:
+    @pytest.mark.parametrize("latency", LONG_LATENCIES)
+    @pytest.mark.parametrize("fmt", LATENCY_FORMATS,
+                             ids=lambda fmt: fmt.name)
+    def test_long_latency_calls_are_cycle_exact(self, latency, fmt):
+        frames = [noise_frame(fmt, seed=latency),
+                  noise_frame(fmt, seed=latency + 100)]
+        for label, config, inputs, resident in _latency_cases(latency, fmt):
+            run = _assert_equivalent(config, frames[:inputs],
+                                     resident=resident)
+            assert run.fast_path_used, label
+
+    def test_grad_uses_fast_path(self):
+        # Stage-3 latency above two cycles is in the batched regime: the
+        # engine takes the fast path and reproduces the per-cycle run.
         fmt = ImageFormat("P20x48", 20, 48)
         frame = noise_frame(fmt, seed=11)
         op = INTRA_OPS["intra_grad"]
         assert op.engine_cycles > 2
         run = _assert_equivalent(intra_config(op, fmt), [frame])
-        assert not run.fast_path_used
+        assert run.fast_path_used
+
+
+class TestFastPathFallbacks:
 
     def test_single_strip_frame_falls_back_and_matches(self):
         fmt = ImageFormat("P24x16", 24, 16)
