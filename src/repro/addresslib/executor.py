@@ -27,12 +27,13 @@ Pentium-M timing model behind Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from ..image.formats import STRIP_LINES, ImageFormat
-from ..image.frame import Frame
+from ..image.frame import PLANE_DTYPES, Frame
 from ..image.pixel import ALL_CHANNELS, Channel
 from ..image.planar import (SUBSAMPLED_CHANNELS, AccessCounter,
                             PlanarFrame420)
@@ -121,24 +122,27 @@ def neighbourhood_views(plane: np.ndarray, neighbourhood: Neighbourhood
     bit-identical to plane ``i`` of :func:`neighbourhood_stack_shifted`,
     but nothing is stacked: an intra op sums or folds the shifted views
     directly, the way a pixel-processor array shifts one loaded array.
+    ``plane`` may also be a stack ``(n, height, width)`` of equal-shape
+    planes: the shifts then apply to the last two axes, and one padded
+    buffer serves the whole stack.
     """
     offsets = neighbourhood.offsets
     if offsets == ((0, 0),):  # CON_0: the plane itself
         return (plane,)
-    height, width = plane.shape
+    *stack, height, width = plane.shape
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
     pad_top = max(0, -min_dy)
     pad_left = max(0, -min_dx)
     # The edge pad by hand: np.pad's setup costs more than the copy.
-    padded = np.empty((height + pad_top + max(0, max_dy),
+    padded = np.empty((*stack, height + pad_top + max(0, max_dy),
                        width + pad_left + max(0, max_dx)), plane.dtype)
-    body = padded[pad_top:pad_top + height]
-    body[:, pad_left:pad_left + width] = plane
-    body[:, :pad_left] = plane[:, :1]
-    body[:, pad_left + width:] = plane[:, -1:]
-    padded[:pad_top] = body[0]
-    padded[pad_top + height:] = body[-1]
-    return tuple(padded[pad_top + dy:pad_top + dy + height,
+    body = padded[..., pad_top:pad_top + height, :]
+    body[..., pad_left:pad_left + width] = plane
+    body[..., :pad_left] = plane[..., :1]
+    body[..., pad_left + width:] = plane[..., -1:]
+    padded[..., :pad_top, :] = body[..., :1, :]
+    padded[..., pad_top + height:, :] = body[..., -1:, :]
+    return tuple(padded[..., pad_top + dy:pad_top + dy + height,
                         pad_left + dx:pad_left + dx + width]
                  for dx, dy in offsets)
 
@@ -151,44 +155,135 @@ def neighbourhood_stack(plane: np.ndarray,
     return np.stack(neighbourhood_views(plane, neighbourhood))
 
 
+#: Most pixels one stacked pass computes at once (ten CIF frames): it
+#: bounds the memory an op's temporaries take, a few MB, however long a
+#: wave the caller forms.  A serving wave (at most eight calls by
+#: default) fits in one stack.
+STACK_PIXELS = 1 << 20
+
+
+def _stack(planes: Sequence[np.ndarray]) -> np.ndarray:
+    """``(n, height, width)`` of equal-shape planes; one plane is a
+    zero-copy view."""
+    if len(planes) == 1:
+        return planes[0][np.newaxis]
+    return np.stack(planes)
+
+
+def _written(values: np.ndarray, inputs: Tuple[np.ndarray, ...],
+             dtype: type) -> np.ndarray:
+    """An op's output as a result plane stack: the channel's dtype, and
+    never memory an input still owns (an op may return its operand)."""
+    if values.dtype != dtype:
+        return values.astype(dtype)
+    if any(np.may_share_memory(values, plane) for plane in inputs):
+        return values.copy()
+    return values
+
+
+def _stacked_pass(op: Union[InterOp, IntraOp],
+                  operands: Sequence[Sequence[Frame]],
+                  written: Tuple[Channel, ...], reduce_to_scalar: bool
+                  ) -> List[Union[Frame, int]]:
+    """One stacked pass of :meth:`VectorExecutor.wave`."""
+    firsts = [frames[0] for frames in operands]
+    outputs: Dict[Channel, np.ndarray] = {}
+    for channel in written:
+        stack = _stack([frame.plane(channel) for frame in firsts])
+        inputs: Tuple[np.ndarray, ...]
+        if isinstance(op, IntraOp):
+            values = op.apply_vector(
+                neighbourhood_views(stack, op.neighbourhood))
+            inputs = (stack,)
+        else:
+            other = _stack([frames[1].plane(channel)
+                            for frames in operands])
+            values = op.apply_vector(stack, other)
+            inputs = (stack, other)
+        if reduce_to_scalar:
+            if values.dtype.kind == "f":
+                values = values.astype(np.int64)
+            outputs[channel] = values.sum(axis=(-2, -1), dtype=np.int64)
+        else:
+            outputs[channel] = _written(values, inputs,
+                                        PLANE_DTYPES[channel])
+    if reduce_to_scalar:
+        return [int(sum(int(outputs[channel][index])
+                        for channel in written))
+                for index in range(len(operands))]
+    return [frame.with_planes({channel: outputs[channel][index]
+                               for channel in written})
+            for index, frame in enumerate(firsts)]
+
+
 class VectorExecutor:
-    """Bulk numpy execution of inter/intra calls on packed frames."""
+    """Bulk numpy execution of inter/intra calls on packed frames.
+
+    :meth:`wave` is the one kernel: it computes a whole wave of calls
+    that share op, format and channel set as stacked ``(n, height,
+    width)`` passes, one per written channel.  :meth:`intra`,
+    :meth:`inter` and :meth:`inter_reduce` are its one-call case.
+    """
+
+    @staticmethod
+    def wave(op: Union[InterOp, IntraOp],
+             operands: Sequence[Sequence[Frame]],
+             channels: ChannelSet = ChannelSet.Y,
+             reduce_to_scalar: bool = False) -> List[Union[Frame, int]]:
+        """``op`` over every operand tuple of a wave, in stacked passes.
+
+        ``operands`` holds one ``(frame,)`` per intra call or one
+        ``(frame_a, frame_b)`` per inter call, all of one format.  The
+        calls are stacked up to :data:`STACK_PIXELS` pixels at a time;
+        intra calls pad each stack once, inter calls run the op once
+        over the two stacks, and ``reduce_to_scalar`` (inter only) sums
+        each call's results to an int.  Each result frame holds its
+        written planes as computed and a copy of every other plane of
+        its (first) input, so results share memory with no input.
+        """
+        if not operands:
+            return []
+        if isinstance(op, IntraOp) and reduce_to_scalar:
+            raise ValueError("scalar reduction is inter-only")
+        fmt = operands[0][0].format
+        for frames in operands:
+            for frame in frames:
+                if (frame.format.width != fmt.width
+                        or frame.format.height != fmt.height):
+                    raise ValueError(
+                        f"a wave needs equal formats, got {fmt} vs "
+                        f"{frame.format}")
+        per_stack = max(1, STACK_PIXELS // fmt.pixels)
+        results: List[Union[Frame, int]] = []
+        for start in range(0, len(operands), per_stack):
+            results += _stacked_pass(op, operands[start:start + per_stack],
+                                     channels_of(channels),
+                                     reduce_to_scalar)
+        return results
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet = ChannelSet.Y) -> Frame:
         """Elementwise ``op`` over two equal-format frames."""
-        if frame_a.format.pixels != frame_b.format.pixels or \
-                frame_a.width != frame_b.width:
-            raise ValueError(
-                f"inter call needs equal formats, got {frame_a.format} "
-                f"vs {frame_b.format}")
-        result = frame_a.copy()
-        for channel in channels_of(channels):
-            result.plane(channel)[:] = op.apply_vector(
-                frame_a.plane(channel), frame_b.plane(channel))
-        return result
+        result = VectorExecutor.wave(op, ((frame_a, frame_b),), channels)
+        assert isinstance(result[0], Frame)
+        return result[0]
 
     @staticmethod
     def intra(op: IntraOp, frame: Frame,
               channels: ChannelSet = ChannelSet.Y) -> Frame:
         """Neighbourhood ``op`` over one frame, borders clamped."""
-        result = frame.copy()
-        for channel in channels_of(channels):
-            planes = neighbourhood_views(frame.plane(channel),
-                                         op.neighbourhood)
-            result.plane(channel)[:] = op.apply_vector(planes)
-        return result
+        result = VectorExecutor.wave(op, ((frame,),), channels)
+        assert isinstance(result[0], Frame)
+        return result[0]
 
     @staticmethod
     def inter_reduce(op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet = ChannelSet.Y) -> int:
         """Sum of the elementwise results (e.g. SAD with ``INTER_ABSDIFF``)."""
-        total = 0
-        for channel in channels_of(channels):
-            values = op.apply_vector(frame_a.plane(channel),
-                                     frame_b.plane(channel))
-            total += int(values.astype(np.int64).sum())
+        total = VectorExecutor.wave(op, ((frame_a, frame_b),), channels,
+                                    reduce_to_scalar=True)[0]
+        assert isinstance(total, int)
         return total
 
     @staticmethod

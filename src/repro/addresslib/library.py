@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from functools import partial
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -162,10 +163,60 @@ class BatchCall:
         return self.frames[0].format
 
 
+#: The deferred functional result of one batch call (see
+#: :meth:`Backend.run_call`).
+ComputedResult = Callable[[], Union[Frame, int]]
+
+
+class _WaveResults:
+    """A batch's functional results, computed per key group up front.
+
+    Calls that share mode, op (by identity), format, channel set and
+    reduction form one group, computed with one
+    :meth:`VectorExecutor.wave` pass; only calls whose backend takes
+    wave results (:attr:`Backend.takes_wave_results`) are computed.  A
+    group whose pass raises hands the error to each member's
+    :meth:`result`, so it surfaces at the first member's booking --
+    where issuing the calls one by one would have raised it.
+    """
+
+    def __init__(self, calls: Sequence[BatchCall],
+                 wanted: Sequence[bool]) -> None:
+        groups: Dict[Tuple[object, ...], List[int]] = {}
+        for index, (call, want) in enumerate(zip(calls, wanted)):
+            if want:
+                groups.setdefault(
+                    (call.mode, id(call.op), call.fmt, call.channels,
+                     call.reduce_to_scalar), []).append(index)
+        self._results: Dict[int, object] = {}
+        for members in groups.values():
+            head = calls[members[0]]
+            values: Sequence[object]
+            try:
+                values = VectorExecutor.wave(
+                    head.op, [calls[member].frames for member in members],
+                    head.channels, head.reduce_to_scalar)
+            except Exception as error:  # re-raised by result()
+                values = [error] * len(members)
+            self._results.update(zip(members, values))
+
+    def result(self, index: int) -> Union[Frame, int]:
+        value = self._results.pop(index)
+        if isinstance(value, Exception):
+            raise value
+        assert isinstance(value, (Frame, int))
+        return value
+
+
 class Backend(abc.ABC):
     """Executes AddressLib calls; one of software or AddressEngine."""
 
     name: str = "abstract"
+
+    #: Whether :meth:`run_call` books a batch call around the result of
+    #: the batch's stacked wave kernel (otherwise it executes the call
+    #: itself and the kernel skips it).
+    takes_wave_results: bool = False
 
     #: Whether :meth:`batch_record` can account a pool-executed call
     #: without re-running it.  Backends that couple execution and
@@ -184,6 +235,25 @@ class Backend(abc.ABC):
 
     def begin_parallel_wave(self) -> None:
         """Hook before a concurrent wave of calls (default: no-op)."""
+
+    def run_call(self, call: BatchCall, computed: "ComputedResult"
+                 ) -> Tuple[Union[Frame, int], CallRecord]:
+        """Execute and book one call of a batch, in submission order.
+
+        ``computed()`` returns the call's functional result from the
+        batch's stacked wave kernel when :attr:`takes_wave_results` is
+        set.  The default runs the call through
+        :meth:`intra`/:meth:`inter`/:meth:`inter_reduce` and never asks.
+        """
+        if call.mode is AddressingMode.INTRA:
+            assert isinstance(call.op, IntraOp)
+            return self.intra(call.op, call.frames[0], call.channels)
+        assert isinstance(call.op, InterOp)
+        if call.reduce_to_scalar:
+            return self.inter_reduce(call.op, call.frames[0],
+                                     call.frames[1], call.channels)
+        return self.inter(call.op, call.frames[0], call.frames[1],
+                          call.channels)
 
     @abc.abstractmethod
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
@@ -211,6 +281,7 @@ class SoftwareBackend(Backend):
 
     name = "software"
     can_record_batches = True
+    takes_wave_results = True
 
     def __init__(self, cost_model: Optional[SoftwareCostModel] = None,
                  scan: ScanOrder = ScanOrder.HORIZONTAL) -> None:
@@ -260,6 +331,11 @@ class SoftwareBackend(Backend):
         return self.intra_record(call.op, call.fmt, call.channels)
 
     # -- call execution ------------------------------------------------------
+
+    def run_call(self, call: BatchCall, computed: "ComputedResult"
+                 ) -> Tuple[Union[Frame, int], CallRecord]:
+        result = computed()
+        return result, self.batch_record(call)
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
@@ -328,9 +404,16 @@ class AddressLib:
                   ) -> List[Union[Frame, int]]:
         """Submit a batch of *independent* inter/intra calls.
 
-        Without a pool this is sugar: each call is issued through the
-        normal single-call path in order, so the results *and* the log
-        records are identical to hand-written serial code.  With a pool,
+        Without a pool, the calls that share op, format, channel set and
+        reduction are computed together, one stacked
+        :meth:`~repro.addresslib.executor.VectorExecutor.wave` pass per
+        group; then each call is booked in submission order through its
+        backend's :meth:`Backend.run_call` (preflight, residency, driver
+        books) and logged.  Results, records and books are identical to
+        issuing the calls one by one, also when call ``k`` raises: the
+        calls before it are booked and nothing after.  A backend that
+        couples execution and accounting (the cycle-level driver, the
+        program recorder) runs its calls itself.  With a pool,
         the functional results come from
         :meth:`~repro.pool.pool.EnginePool.compute_batch`, spread over
         its boards (bit-exact: every board runs the same vector
@@ -347,26 +430,18 @@ class AddressLib:
         tenant = getattr(options, "tenant", None)
         if tenant is not None and calls:
             self.log.tally_tenant(tenant, len(calls))
+        backends = [self._dispatch(call.mode) for call in calls]
         if pool is not None and len(calls) > 1:
-            backends = [self._dispatch(call.mode) for call in calls]
             if all(b.can_record_batches for b in backends):
                 return self._run_batch_pooled(calls, backends, pool)
+        waves = _WaveResults(calls, [backend.takes_wave_results
+                                     for backend in backends])
         results: List[Union[Frame, int]] = []
-        for call in calls:
-            if call.mode is AddressingMode.INTRA:
-                assert isinstance(call.op, IntraOp)
-                results.append(self.intra(call.op, call.frames[0],
-                                          call.channels))
-            else:
-                assert isinstance(call.op, InterOp)
-                if call.reduce_to_scalar:
-                    results.append(self.inter_reduce(
-                        call.op, call.frames[0], call.frames[1],
-                        call.channels))
-                else:
-                    results.append(self.inter(
-                        call.op, call.frames[0], call.frames[1],
-                        call.channels))
+        for index, (call, backend) in enumerate(zip(calls, backends)):
+            result, record = backend.run_call(
+                call, partial(waves.result, index))
+            self.log.append(record)
+            results.append(result)
         return results
 
     def _run_batch_pooled(self, calls: List[BatchCall],

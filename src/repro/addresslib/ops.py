@@ -21,8 +21,14 @@ Each operation carries three executable faces kept consistent by tests:
    (:class:`~repro.addresslib.profiling.InstructionCost`; the executor
    adds the addressing cost on top).
 
-All 8-bit channel math saturates to [0, 255]; intermediates use int32
-(a FIR whose weights could overflow it widens to int64).
+All 8-bit channel math saturates to [0, 255].  Intermediates use the
+narrowest signed integer type that holds the op's worst-case magnitude
+(:func:`_accumulator`): int16 for sums, differences and the 3x3
+derivatives, int32 for the box blur's scaled sum and the fixed-point
+multiply, int64 for a FIR whose weights could overflow int32.  Integer
+arithmetic that cannot overflow gives the same results at any width;
+the narrow passes move fewer bytes and keep a wave's temporaries in
+cache.
 """
 
 from __future__ import annotations
@@ -58,25 +64,45 @@ def _sat8(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0, 255, out=values).astype(np.uint8)
 
 
+def _accumulator(bound: int) -> type:
+    """The narrowest of int16/int32/int64 that holds ``[-bound, bound]``."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _tap_bound(weights: Sequence[int]) -> int:
+    """Largest ``|sum(w * v)|`` over 8-bit values ``v``."""
+    return sum(abs(w) for w in weights) * 255
+
+
 def _weighted_sum(planes: Sequence[np.ndarray], weights: Sequence[int],
-                  dtype: type = np.int32) -> np.ndarray:
+                  dtype: type) -> np.ndarray:
     """Shift-and-accumulate ``sum(w * plane)`` over the nonzero taps.
 
-    Returns a fresh ``dtype`` accumulator; unit weights add or subtract
-    the plane directly, other weights go through one scratch product.
+    Returns a fresh ``dtype`` accumulator, started from the first
+    nonzero tap; unit weights add or subtract the plane directly, other
+    weights go through one scratch product.
     """
-    acc = np.zeros(planes[0].shape, dtype)
+    acc = None
     term = None
     for weight, plane in zip(weights, planes):
-        if weight == 1:
+        if not weight:
+            continue
+        if acc is None:
+            acc = np.multiply(plane, weight, dtype=dtype)
+        elif weight == 1:
             np.add(acc, plane, out=acc)
         elif weight == -1:
             np.subtract(acc, plane, out=acc)
-        elif weight:
+        else:
             if term is None:
                 term = np.empty_like(acc)
             np.multiply(plane, weight, out=term, dtype=dtype)
             acc += term
+    if acc is None:
+        return np.zeros(planes[0].shape, dtype)
     return acc
 
 
@@ -160,6 +186,24 @@ class IntraOp:
 # Inter operations
 # ---------------------------------------------------------------------------
 
+def _absdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    difference = np.subtract(a, b, dtype=np.int16)
+    return np.abs(difference, out=difference).astype(np.uint8)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    product = np.multiply(a, b, dtype=np.int32)
+    product >>= 8
+    return _sat8(product)
+
+
+def _avg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    total = np.add(a, b, dtype=np.int16)
+    total += 1
+    total >>= 1
+    return total.astype(np.uint8)
+
+
 def _make_inter(name: str, scalar, vector, cost: InstructionCost,
                 engine_cycles: int = 1) -> InterOp:
     return InterOp(name=name, scalar=scalar, vector=vector, cost=cost,
@@ -170,14 +214,14 @@ def _make_inter(name: str, scalar, vector, cost: InstructionCost,
 INTER_ADD = _make_inter(
     "inter_add",
     lambda a, b: _sat8_scalar(a + b),
-    lambda a, b: _sat8(a.astype(np.int32) + b.astype(np.int32)),
+    lambda a, b: _sat8(np.add(a, b, dtype=np.int16)),
     InstructionCost(alu=2))
 
 #: Saturating subtraction ``a - b``.
 INTER_SUB = _make_inter(
     "inter_sub",
     lambda a, b: _sat8_scalar(a - b),
-    lambda a, b: _sat8(a.astype(np.int32) - b.astype(np.int32)),
+    lambda a, b: _sat8(np.subtract(a, b, dtype=np.int16)),
     InstructionCost(alu=2))
 
 #: Absolute difference -- the difference-picture / SAD building block the
@@ -185,15 +229,14 @@ INTER_SUB = _make_inter(
 INTER_ABSDIFF = _make_inter(
     "inter_absdiff",
     lambda a, b: abs(int(a) - int(b)),
-    lambda a, b: np.abs(a.astype(np.int32) - b.astype(np.int32))
-    .astype(np.uint8),
+    lambda a, b: _absdiff(a, b),
     InstructionCost(alu=2, branch=1))
 
 #: Fixed-point multiply: ``(a * b) >> 8`` (product scaled back to 8 bits).
 INTER_MUL = _make_inter(
     "inter_mul",
     lambda a, b: _sat8_scalar((int(a) * int(b)) >> 8),
-    lambda a, b: _sat8((a.astype(np.int32) * b.astype(np.int32)) >> 8),
+    lambda a, b: _mul(a, b),
     InstructionCost(mul=1, alu=1),
     engine_cycles=2)
 
@@ -215,8 +258,7 @@ INTER_MAX = _make_inter(
 INTER_AVG = _make_inter(
     "inter_avg",
     lambda a, b: (int(a) + int(b) + 1) >> 1,
-    lambda a, b: ((a.astype(np.int32) + b.astype(np.int32) + 1) >> 1)
-    .astype(np.uint8),
+    lambda a, b: _avg(a, b),
     InstructionCost(alu=2))
 
 
@@ -275,9 +317,7 @@ def fir_op(name: str, neighbourhood: Neighbourhood,
             f"{name}: {len(weights)} weights for "
             f"{neighbourhood.size}-pixel neighbourhood")
     weights = tuple(int(w) for w in weights)
-    # 8-bit inputs bound the accumulator by sum(|w|) * 255.
-    bound = sum(abs(w) for w in weights) * 255
-    dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    dtype = _accumulator(_tap_bound(weights))
 
     def scalar(values: Sequence[int]) -> int:
         acc = sum(w * int(v) for w, v in zip(weights, values))
@@ -303,9 +343,13 @@ def box3_op() -> IntraOp:
     def scalar(values: Sequence[int]) -> int:
         return _sat8_scalar((sum(int(v) for v in values) * 57) >> 9)
 
+    # The sum fits int16; scaled by 57 it needs int32.
+    dtype = _accumulator(_tap_bound(nine))
+    scaled_dtype = _accumulator(_tap_bound(nine) * 57)
+
     def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
-        acc = _weighted_sum(planes, nine)
-        acc *= 57
+        acc = np.multiply(_weighted_sum(planes, nine, dtype), 57,
+                          dtype=scaled_dtype)
         acc >>= 9
         return _sat8(acc)
 
@@ -334,12 +378,14 @@ def _biased_derivative_op(name: str, weights: Tuple[int, ...],
                           cost: InstructionCost) -> IntraOp:
     """A signed 3x3 derivative ``(sum(w * v) >> 3) + 128``, saturated:
     the bias centres zero response in the 8-bit range."""
+    dtype = _accumulator(_tap_bound(weights) + 128)
+
     def scalar(values: Sequence[int]) -> int:
         acc = sum(w * int(v) for w, v in zip(weights, values))
         return _sat8_scalar((acc >> 3) + 128)
 
     def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
-        acc = _weighted_sum(planes, weights)
+        acc = _weighted_sum(planes, weights, dtype)
         acc >>= 3
         acc += 128
         return _sat8(acc)
@@ -367,9 +413,12 @@ def gradient_magnitude_op() -> IntraOp:
         gy = sum(w * int(v) for w, v in zip(_SOBEL_Y, values))
         return _sat8_scalar((abs(gx) + abs(gy)) >> 3)
 
+    # |gx| + |gy| reaches twice one derivative's bound.
+    dtype = _accumulator(_tap_bound(_SOBEL_X) + _tap_bound(_SOBEL_Y))
+
     def vector(planes: Sequence[np.ndarray]) -> np.ndarray:
-        gx = _weighted_sum(planes, _SOBEL_X)
-        gy = _weighted_sum(planes, _SOBEL_Y)
+        gx = _weighted_sum(planes, _SOBEL_X, dtype)
+        gy = _weighted_sum(planes, _SOBEL_Y, dtype)
         np.abs(gx, out=gx)
         gx += np.abs(gy, out=gy)
         gx >>= 3

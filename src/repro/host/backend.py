@@ -10,10 +10,11 @@ routes those to its software fallback automatically.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from ..addresslib.addressing import AddressingMode
-from ..addresslib.library import Backend, BatchCall, CallRecord
+from ..addresslib.library import (Backend, BatchCall, CallRecord,
+                                  ComputedResult)
 from ..addresslib.ops import ChannelSet, InterOp, IntraOp
 from ..core.config import EngineConfig, inter_config, intra_config
 from ..image.frame import Frame
@@ -50,6 +51,12 @@ class EngineBackend(Backend):
     def supports(self, mode: AddressingMode) -> bool:
         return mode.engine_supported_v1
 
+    @property
+    def takes_wave_results(self) -> bool:  # type: ignore[override]
+        """The fast driver books batch calls around the wave kernel's
+        results; the cycle model computes its own."""
+        return not self.driver.simulate
+
     # -- residency tracking ---------------------------------------------------
 
     def _residency(self, config, frames):
@@ -64,20 +71,35 @@ class EngineBackend(Backend):
             return
         self.residency.record_call(config, frames, result_frame)
 
-    def _submit(self, config, frames):
+    def _submit(self, config, frames, computed=None):
         resident, copy_cycles = self._residency(config, frames)
         can_simulate_residency = copy_cycles == 0
         if self.driver.simulate and not can_simulate_residency:
             # The cycle model has no result-to-input mover; ship instead.
             resident = [False] * len(frames)
         result = self.driver.submit(config, *frames, resident=resident,
-                                    onboard_copy_cycles=copy_cycles)
+                                    onboard_copy_cycles=copy_cycles,
+                                    computed=computed)
         self._after_call(config, frames, result.frame)
         record = self._record(config, result)
         record.extra["resident_inputs"] = float(sum(resident))
         return result, record
 
     # -- call execution -------------------------------------------------------
+
+    def run_call(self, call: BatchCall, computed: ComputedResult
+                 ) -> Tuple[Union[Frame, int], CallRecord]:
+        """Book one batch call through the same residency and driver
+        path as :meth:`intra`/:meth:`inter`; the fast driver takes the
+        result from the batch's wave kernel (``computed``), the cycle
+        model simulates the call."""
+        result, record = self._submit(self._config_for(call),
+                                      list(call.frames), computed)
+        if call.reduce_to_scalar:
+            assert result.scalar is not None
+            return result.scalar, record
+        assert result.frame is not None
+        return result.frame, record
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:

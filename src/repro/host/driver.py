@@ -16,7 +16,9 @@ back to the application.  Two execution strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..analysis.analyzer import analyze_config
 from ..analysis.diagnostics import ProgramCheckError
@@ -209,6 +211,27 @@ class CallPrice:
         return self.board_seconds + self.host_overhead_seconds
 
 
+# Bounded: a serving mix has a handful of distinct geometries.
+@lru_cache(maxsize=1024)
+def _geometry_price(timing: EngineTimingModel, pixels: int, strips: int,
+                    images_in: int, produces_image: bool,
+                    requires_full_frames: bool, resident_count: int,
+                    onboard_copy_cycles: int) -> CallPrice:
+    pci_words = (timing.input_words_raw(pixels, images_in, resident_count)
+                 + timing.readback_words_raw(pixels, produces_image))
+    host_overhead = timing.host_overhead_seconds_raw(
+        strips, images_in, resident_count)
+    board_cycles = (timing.call_cycles_raw(
+        pixels, strips, images_in, produces_image, requires_full_frames,
+        resident_count) + onboard_copy_cycles)
+    interrupts = timing.dma_jobs_raw(strips, images_in,
+                                     resident_count) + 1
+    return CallPrice(
+        board_seconds=board_cycles / timing.clock_hz,
+        host_overhead_seconds=host_overhead,
+        pci_words=pci_words, interrupts=interrupts)
+
+
 @dataclass
 class DriverResult:
     """What one driver submission returns to the application."""
@@ -273,23 +296,15 @@ class AddressEngineDriver:
 
         Batched calls an engine pool has already executed are priced
         with this; :meth:`submit` uses the same arithmetic so priced and
-        submitted calls account alike.
+        submitted calls account alike.  The price is pure geometry on a
+        frozen timing model, memoized on that key (a repeat returns the
+        same :class:`CallPrice`).
         """
-        pci_words = (self.timing.input_words_raw(
-            config.fmt.pixels, config.images_in, resident_count)
-            + self.timing.readback_words(config))
-        host_overhead = self.timing.host_overhead_seconds_raw(
-            config.fmt.strips, config.images_in, resident_count)
-        board_cycles = (self.timing.call_cycles_raw(
-            config.fmt.pixels, config.fmt.strips, config.images_in,
+        fmt = config.fmt
+        return _geometry_price(
+            self.timing, fmt.pixels, fmt.strips, config.images_in,
             config.produces_image, config.requires_full_frames,
-            resident_count) + onboard_copy_cycles)
-        interrupts = self.timing.dma_jobs_raw(
-            config.fmt.strips, config.images_in, resident_count) + 1
-        return CallPrice(
-            board_seconds=board_cycles / self.timing.clock_hz,
-            host_overhead_seconds=host_overhead,
-            pci_words=pci_words, interrupts=interrupts)
+            resident_count, onboard_copy_cycles)
 
     def account_scheduled(self, price: CallPrice) -> None:
         """Book one pool-executed call into the driver counters."""
@@ -312,16 +327,21 @@ class AddressEngineDriver:
                frame_b: Optional[Frame] = None, *,
                options: Optional["SubmitOptions"] = None,
                resident: Optional[Sequence[bool]] = None,
-               onboard_copy_cycles: int = 0
+               onboard_copy_cycles: int = 0,
+               computed: Optional[Callable[[], Union[Frame, int]]] = None
                ) -> DriverResult:
         """Execute one AddressEngine call and wait for its interrupt.
 
         ``resident`` flags inputs already on the board (call chaining);
         ``onboard_copy_cycles`` charges a result-bank-to-input-bank move
-        when the previous call's *result* is reused as an input.  Both
-        are keyword-only; ``options`` (a
+        when the previous call's *result* is reused as an input.  All
+        options are keyword-only; ``options`` (a
         :class:`~repro.api.SubmitOptions`) contributes the tenant label
-        the per-tenant books tally this submission under.
+        the per-tenant books tally this submission under.  ``computed``
+        returns the call's functional result when a batch's wave kernel
+        already computed it: the fast strategy books the call around
+        that result instead of running the executor (the cycle model
+        simulates the call regardless).
         """
         tenant = getattr(options, "tenant", None)
         if tenant is not None:
@@ -346,7 +366,9 @@ class AddressEngineDriver:
                 call_seconds=board + price.host_overhead_seconds,
                 board_seconds=board,
                 pci_words=price.pci_words, run=run)
-        result = AddressEngine.run_functional(config, frame_a, frame_b)
+        result = (computed() if computed is not None
+                  else AddressEngine.run_functional(config, frame_a,
+                                                    frame_b))
         self.interrupts_serviced += price.interrupts
         frame: Optional[Frame]
         scalar: Optional[int]

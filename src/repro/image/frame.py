@@ -194,6 +194,19 @@ class Frame:
                              for channel in ALL_CHANNELS}
         return duplicate
 
+    def with_planes(self, planes: Mapping[Channel, np.ndarray]) -> "Frame":
+        """A new frame holding ``planes`` as they are (no copy) and a
+        copy of every other plane of this frame: the result of a call
+        that writes only ``planes``.  Each given plane must have this
+        format's shape and its channel's dtype."""
+        duplicate = Frame.__new__(Frame)
+        duplicate.format = self.format
+        duplicate._planes = {
+            channel: (planes[channel] if channel in planes
+                      else plane.copy())
+            for channel, plane in self._planes.items()}
+        return duplicate
+
     def fill(self, pixel: Pixel) -> None:
         """Set every pixel of the frame to ``pixel``."""
         for channel in ALL_CHANNELS:

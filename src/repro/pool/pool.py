@@ -222,6 +222,13 @@ class EnginePool:
 
     # -- routing and dispatch -------------------------------------------------
 
+    def _prices_like_pool(self, worker: EngineWorker) -> bool:
+        """Whether ``worker`` prices every call exactly as the pool's
+        ``timing`` and ``special_inter_ops`` do (true on every
+        :meth:`of_engines` pool)."""
+        return (worker.timing == self.timing
+                and worker.special_inter_ops == self.special_inter_ops)
+
     def place(self, calls: Sequence[BatchCall],
               hint: Optional[int] = None) -> EngineWorker:
         """The board the next wave goes to.
@@ -242,14 +249,20 @@ class EnginePool:
 
     def dispatch(self, calls: Sequence[BatchCall],
                  not_before: float = 0.0,
-                 hint: Optional[int] = None) -> WaveDispatch:
+                 hint: Optional[int] = None,
+                 costs: Optional[Sequence[float]] = None) -> WaveDispatch:
         """Route one wave to a board, run it, and book the clock.
 
         The wave starts at ``max(board free time, not_before)`` and
-        costs the sum of its calls' modeled costs on that board.  On
-        :class:`EngineDeadlock` the board is failed out and the whole
-        wave re-places among survivors (results never mix
-        boards); with no survivors the deadlock propagates.
+        costs the sum of its calls' modeled costs on that board.
+        ``costs`` are the calls' overlap-model prices under the pool's
+        own pricing (``timing`` and ``special_inter_ops``), as the
+        service computed them at admission: a board that prices like
+        the pool books them as they are, any other board prices the
+        calls itself.  On :class:`EngineDeadlock` the board is failed
+        out and the whole wave re-places among survivors (results never
+        mix boards, and the replayed wave is priced afresh); with no
+        survivors the deadlock propagates.
         """
         failovers = 0
         while True:
@@ -270,12 +283,14 @@ class EnginePool:
                 if observer is not None:
                     observer.pool_requeued(calls, requeued)
                 calls = requeued
+                costs = None
                 continue
             observer = shm.get_transport_observer()
             if observer is not None:
                 observer.pool_wave(worker.worker_id, calls, results)
             start = max(worker.busy_until, not_before)
-            end = start + worker.wave_cost_seconds(calls)
+            end = start + worker.wave_cost_seconds(
+                calls, costs if self._prices_like_pool(worker) else None)
             worker.book_wave(calls, start, end)
             self.waves_dispatched += 1
             return WaveDispatch(

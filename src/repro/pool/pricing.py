@@ -12,6 +12,7 @@ below the service layer without an import cycle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import FrozenSet, Tuple
 
 from ..addresslib.addressing import AddressingMode
@@ -27,14 +28,23 @@ def call_cost_seconds(call: BatchCall, timing: EngineTimingModel,
     Every board prices with it (:meth:`~repro.pool.worker.EngineWorker.
     price`), so service admission, pool placement, offline batch
     makespans and driver submission all account one call identically.
+    The price is pure geometry on a frozen timing model, so it is
+    memoized on that key: a repeat returns the very same floats.
     """
     fmt = call.fmt
-    images_in = 2 if call.mode is AddressingMode.INTER else 1
-    produces_image = not call.reduce_to_scalar
-    full_frames = (call.mode is AddressingMode.INTER
-                   and call.op.name in special_inter_ops)
+    inter = call.mode is AddressingMode.INTER
+    return _geometry_cost(timing, fmt.pixels, fmt.strips,
+                          2 if inter else 1, not call.reduce_to_scalar,
+                          inter and call.op.name in special_inter_ops)
+
+
+# Bounded: a serving mix has a handful of distinct geometries.
+@lru_cache(maxsize=1024)
+def _geometry_cost(timing: EngineTimingModel, pixels: int, strips: int,
+                   images_in: int, produces_image: bool,
+                   full_frames: bool) -> Tuple[float, float]:
     serial = timing.serial_call_seconds_raw(
-        fmt.pixels, fmt.strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image, full_frames)
     overlapped = timing.overlapped_call_seconds_raw(
-        fmt.pixels, fmt.strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image, full_frames)
     return serial, overlapped

@@ -121,13 +121,19 @@ class EngineWorker:
         return call_cost_seconds(call, self.timing,
                                  self.special_inter_ops)
 
-    def wave_cost_seconds(self, calls: Sequence[BatchCall]) -> float:
+    def wave_cost_seconds(self, calls: Sequence[BatchCall],
+                          costs: Optional[Sequence[float]] = None
+                          ) -> float:
         """Modeled makespan of one wave on this board.
 
-        Summed largest-first -- the order list scheduling on one engine
-        accumulated in -- so the modeled books stay bit-exact.
+        ``costs`` are the calls' overlap-model prices when the caller
+        already holds them from this board's pricing; otherwise each
+        call is priced here.  Summed largest-first -- the order list
+        scheduling on one engine accumulated in -- so the modeled books
+        stay bit-exact.
         """
-        costs = [self.price(call)[1] for call in calls]
+        if costs is None:
+            costs = [self.price(call)[1] for call in calls]
         return sum(sorted(costs, reverse=True), 0.0)
 
     def affinity_score(self, calls: Sequence[BatchCall]) -> int:

@@ -11,12 +11,12 @@ timing model.  See ``docs/SERVICE.md``.
 
 from .admission import (AdmissionController, AdmissionPolicy,
                         call_cost_seconds)
-from .batcher import BatchKey, MicroBatcher
+from .batcher import MicroBatcher
 from .engine_service import EngineService, ServiceReport
 from .policy import ServicePolicy, TenantPolicy
 from .queue import RequestQueue
-from .request import (Priority, RejectReason, RequestState, ServiceError,
-                      ServiceRequest, ServiceTicket)
+from .request import (BatchKey, Priority, RejectReason, RequestState,
+                      ServiceError, ServiceRequest, ServiceTicket)
 
 __all__ = [
     "AdmissionController",

@@ -17,38 +17,11 @@ randomized corpus the pool is held to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from ..addresslib.library import BatchCall
 from .policy import ServicePolicy, check_policy
 from .queue import RequestQueue
 from .request import ServiceRequest
-
-
-@dataclass(frozen=True)
-class BatchKey:
-    """What must match for two calls to share a micro-batch.
-
-    Mode/op/format is the engine's *configuration* identity: calls with
-    equal keys would program the board identically, so a multi-engine
-    deployment can run them side by side with zero reconfiguration.
-    ``op_id`` is the op object's identity, not its name -- two distinct
-    parameterized ops that happen to share a name must not coalesce.
-    """
-
-    mode: str
-    op_id: int
-    format_name: str
-    channels: str
-    reduce_to_scalar: bool
-
-    @classmethod
-    def of(cls, call: BatchCall) -> "BatchKey":
-        return cls(mode=call.mode.value, op_id=id(call.op),
-                   format_name=call.fmt.name,
-                   channels=call.channels.name,
-                   reduce_to_scalar=call.reduce_to_scalar)
 
 
 def _deadline_rank(request: ServiceRequest) -> float:
@@ -83,18 +56,16 @@ class MicroBatcher:
         out a full queue pass.  A wave is dispatched to one pool worker
         whole, so requests only coalesce when their placement hints
         agree with the head's (two requests pinned to different boards
-        must not share a wave).
+        must not share a wave).  Both conditions are the request's
+        ``coalescing_key``, which the queue indexes its entries by.
         """
         if not queue:
             return []
         head = queue.pop_next()
-        key = BatchKey.of(head.call)
         prefer = (_deadline_rank if self.policy.deadline_aware_batching
                   else None)
         wave = [head] + queue.pop_compatible(
-            lambda request: (BatchKey.of(request.call) == key
-                             and request.placement == head.placement),
-            self.max_batch - 1, prefer=prefer)
+            head.coalescing_key, self.max_batch - 1, prefer=prefer)
         self.waves += 1
         if len(wave) > 1:
             self.coalesced_requests += len(wave)

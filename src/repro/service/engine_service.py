@@ -227,6 +227,8 @@ class EngineService:
         # Every submission -- accepted or shed -- feeds the per-tenant
         # arrival-rate estimate: it is the *offered* stream being sized.
         self.admission.observe(options.tenant, self.clock)
+        # The one pricing of this request: admission, the queue books,
+        # the serial-model books and the pool's wave cost all read it.
         serial_cost, overlapped_cost = self.admission.price(call)
         request = ServiceRequest(
             request_id=self._next_request_id, call=call,
@@ -234,6 +236,7 @@ class EngineService:
             deadline_seconds=options.deadline_seconds,
             max_retries=options.max_retries,
             estimated_cost_seconds=overlapped_cost,
+            serial_cost_seconds=serial_cost,
             tenant=options.tenant, placement=options.placement)
         self._next_request_id += 1
         ticket = ServiceTicket(request_id=request.request_id,
@@ -336,10 +339,11 @@ class EngineService:
             return True
         dispatch = self.pool.dispatch(
             [r.call for r in survivors], not_before=not_before,
-            hint=survivors[0].placement)
+            hint=survivors[0].placement,
+            costs=[r.estimated_cost_seconds for r in survivors])
         for request in survivors:
-            serial, overlapped = self.admission.price(request.call)
-            self.report_data.modeled_serial_seconds += serial
+            self.report_data.modeled_serial_seconds += (
+                request.serial_cost_seconds)
         wave_end = dispatch.end_seconds
         self.clock = max(self.clock, wave_end)
         self.report_data.busy_seconds += (wave_end

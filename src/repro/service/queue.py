@@ -20,6 +20,13 @@ at its cap is answered ``TENANT_QUOTA`` while everyone else still has
 the whole remaining depth.  All knobs come from one
 :class:`~repro.service.policy.ServicePolicy`.
 
+Each class keeps its entries indexed by the requests' coalescing key
+(:attr:`~repro.service.request.ServiceRequest.coalescing_key`), every
+key's entries sorted in drain order ``(finish tag, seq)``.  The next
+request is the smallest head over the class's keys, and a wave's
+followers (:meth:`RequestQueue.pop_compatible`) come off the head's
+own key list -- O(wave), never a scan of the class.
+
 The synchronous front end surfaces a full queue as an immediate
 ``QUEUE_FULL`` rejection; the asyncio facade (:mod:`repro.aio`)
 instead *suspends* the producer until a slot frees.  The wake signal
@@ -35,14 +42,16 @@ be allowed to take.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (Callable, Deque, Dict, Iterator, List, Optional,
-                    Tuple)
+from bisect import insort
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .policy import ServicePolicy, check_policy
-from .request import Priority, RejectReason, ServiceRequest
+from .request import (CoalescingKey, Priority, RejectReason,
+                      ServiceRequest)
 
 #: One queued entry: (virtual finish tag, offer sequence, request).
+#: Sequence numbers are unique, so entries order by their first two
+#: fields and a comparison never reaches the request.
 _Entry = Tuple[float, int, ServiceRequest]
 
 
@@ -52,9 +61,9 @@ class RequestQueue:
     def __init__(self, policy: Optional[ServicePolicy] = None) -> None:
         self.policy = check_policy(policy, "RequestQueue")
         self.max_depth = self.policy.queue_depth
-        #: priority -> tenant bucket -> FIFO of stamped entries.
+        #: priority -> coalescing key -> entries in drain order.
         self._classes: Dict[Priority,
-                            Dict[Optional[str], Deque[_Entry]]] = {
+                            Dict[CoalescingKey, List[_Entry]]] = {
             priority: {} for priority in Priority}
         #: Per-class virtual time (advances with every head pop).
         self._vtime: Dict[Priority, float] = {
@@ -80,8 +89,8 @@ class RequestQueue:
         return self._size > 0
 
     def depth_of(self, priority: Priority) -> int:
-        return sum(len(bucket)
-                   for bucket in self._classes[priority].values())
+        return sum(len(entries)
+                   for entries in self._classes[priority].values())
 
     def queued_of(self, tenant: Optional[str]) -> int:
         """Requests ``tenant`` currently holds queued."""
@@ -143,8 +152,8 @@ class RequestQueue:
                     self._finish[priority].get(bucket, 0.0))
         finish = start + 1.0 / weight
         self._finish[priority][bucket] = finish
-        self._classes[priority].setdefault(bucket, deque()).append(
-            (finish, self._seq, request))
+        insort(self._classes[priority].setdefault(
+            request.coalescing_key, []), (finish, self._seq, request))
         self._seq += 1
         self._account_add(request)
         return None
@@ -160,10 +169,9 @@ class RequestQueue:
         sorts ahead of every fair-queued entry without dragging the
         class's virtual time backwards.
         """
-        bucket = self._bucket_key(request)
-        self._classes[request.priority].setdefault(
-            bucket, deque()).appendleft(
-                (float("-inf"), self._front_seq, request))
+        insort(self._classes[request.priority].setdefault(
+            request.coalescing_key, []),
+            (float("-inf"), self._front_seq, request))
         self._front_seq -= 1
         self._account_add(request)
 
@@ -188,90 +196,76 @@ class RequestQueue:
         IndexError when empty."""
         depth_before = self._size
         for priority in Priority:
-            buckets = self._classes[priority]
-            if not buckets:
+            index = self._classes[priority]
+            if not index:
                 continue
-            best: Optional[Optional[str]] = None
-            best_key: Optional[Tuple[float, int]] = None
-            for bucket, entries in buckets.items():
-                head = entries[0]
-                key = (head[0], head[1])
-                if best_key is None or key < best_key:
-                    best_key, best = key, bucket
-            assert best_key is not None
-            finish, _, request = buckets[best].popleft()  # type: ignore[index]
-            if not buckets[best]:  # type: ignore[index]
-                del buckets[best]  # type: ignore[arg-type]
+            head_key = next(iter(index))
+            head = index[head_key]
+            for key, entries in index.items():
+                if entries[0] < head[0]:
+                    head_key, head = key, entries
+            finish, _, request = head.pop(0)
+            if not head:
+                del index[head_key]
             self._vtime[priority] = max(self._vtime[priority], finish)
             self._account_remove(request)
             self._notify_space(depth_before)
             return request
         raise IndexError("pop from an empty RequestQueue")
 
-    def _class_entries(self, priority: Priority) -> List[_Entry]:
-        """This class's entries in the order :meth:`pop_next` would
-        drain them (merged across tenant buckets by finish tag)."""
-        merged: List[_Entry] = []
-        for entries in self._classes[priority].values():
-            merged.extend(entries)
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
-        return merged
-
     def pop_compatible(
-            self, matches: Callable[[ServiceRequest], bool], limit: int,
+            self, key: CoalescingKey, limit: int,
             prefer: Optional[Callable[[ServiceRequest], float]] = None,
     ) -> List[ServiceRequest]:
-        """Remove up to ``limit`` queued requests satisfying ``matches``.
+        """Remove up to ``limit`` queued requests whose coalescing key
+        is ``key``.
 
-        Scans classes in priority order and each class in drain order,
-        so the relative order of the popped requests is the order
-        :meth:`pop_next` would have produced.  With ``prefer`` the
-        class's matches are instead ranked by the given key (stably, so
-        ties keep drain order) before truncation -- how the batcher
-        pulls near-deadline work forward.  Requests are independent by
-        contract, so pulling compatible ones forward changes neither
-        their results nor any other request's.
+        Takes classes in priority order and each class's ``key``
+        entries in drain order, so the relative order of the popped
+        requests is the order :meth:`pop_next` would have produced.
+        With ``prefer`` a class's entries are instead ranked by the
+        given key (stably, so ties keep drain order) before truncation
+        -- how the batcher pulls near-deadline work forward.  Requests
+        are independent by contract, so pulling compatible ones forward
+        changes neither their results nor any other request's.  Costs
+        O(entries under ``key``), whatever else is queued.
         """
         popped: List[ServiceRequest] = []
         if limit <= 0:
             return popped
         depth_before = self._size
         for priority in Priority:
-            if not self._classes[priority]:
+            index = self._classes[priority]
+            entries = index.get(key)
+            if not entries:
                 continue
-            candidates = [entry for entry in
-                          self._class_entries(priority)
-                          if matches(entry[2])]
-            if prefer is not None:
-                candidates.sort(key=lambda entry: prefer(entry[2]))
-            taken = candidates[:limit - len(popped)]
-            if taken:
-                self._remove_entries(priority, taken)
-                popped.extend(entry[2] for entry in taken)
+            wanted = limit - len(popped)
+            if prefer is None:
+                taken = entries[:wanted]
+                del entries[:wanted]
+            else:
+                taken = sorted(entries,
+                               key=lambda entry: prefer(entry[2]))[:wanted]
+                chosen = {entry[1] for entry in taken}
+                entries[:] = [entry for entry in entries
+                              if entry[1] not in chosen]
+            if not entries:
+                del index[key]
+            for entry in taken:
+                self._account_remove(entry[2])
+                popped.append(entry[2])
             if len(popped) >= limit:
                 break
         if popped:
             self._notify_space(depth_before)
         return popped
 
-    def _remove_entries(self, priority: Priority,
-                        taken: List[_Entry]) -> None:
-        chosen = {id(entry[2]) for entry in taken}
-        buckets = self._classes[priority]
-        for bucket in list(buckets):
-            entries = buckets[bucket]
-            if not any(id(entry[2]) in chosen for entry in entries):
-                continue
-            kept = deque(entry for entry in entries
-                         if id(entry[2]) not in chosen)
-            if kept:
-                buckets[bucket] = kept
-            else:
-                del buckets[bucket]
-        for entry in taken:
-            self._account_remove(entry[2])
-
     def __iter__(self) -> Iterator[ServiceRequest]:
+        """Every queued request in the order :meth:`pop_next` would
+        drain them."""
         for priority in Priority:
-            for entry in self._class_entries(priority):
+            merged = [entry for entries in self._classes[priority].values()
+                      for entry in entries]
+            merged.sort(key=lambda entry: (entry[0], entry[1]))
+            for entry in merged:
                 yield entry[2]

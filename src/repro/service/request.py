@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from ..addresslib.library import BatchCall
 from ..image.frame import Frame
@@ -66,9 +66,47 @@ class RequestState(enum.Enum):
         return self.value
 
 
+class BatchKey(NamedTuple):
+    """What must match for two calls to share a micro-batch.
+
+    Mode/op/format is the engine's *configuration* identity: calls with
+    equal keys would program the board identically, so a multi-engine
+    deployment can run them side by side with zero reconfiguration.
+    ``op_id`` is the op object's identity, not its name -- two distinct
+    parameterized ops that happen to share a name must not coalesce.
+    A tuple, so the queue's key index hashes and compares it natively.
+    """
+
+    mode: str
+    op_id: int
+    format_name: str
+    channels: str
+    reduce_to_scalar: bool
+
+    @classmethod
+    def of(cls, call: BatchCall) -> "BatchKey":
+        return cls(mode=call.mode.value, op_id=id(call.op),
+                   format_name=call.fmt.name,
+                   channels=call.channels.name,
+                   reduce_to_scalar=call.reduce_to_scalar)
+
+
+#: A request's coalescing key: its call's :class:`BatchKey` and its
+#: placement hint (a wave runs whole on one board, so requests pinned
+#: to different boards never share one).
+CoalescingKey = Tuple[BatchKey, Optional[int]]
+
+
 @dataclass
 class ServiceRequest:
-    """One admitted call with its serving metadata (internal record)."""
+    """One admitted call with its serving metadata (internal record).
+
+    The call is priced and keyed once, when the request is made:
+    ``serial_cost_seconds``/``estimated_cost_seconds`` carry its
+    (serial, overlapped) price through admission, the queue books and
+    the pool's wave cost, and ``coalescing_key`` is what the queue
+    indexes it under.
+    """
 
     request_id: int
     call: BatchCall
@@ -83,15 +121,21 @@ class ServiceRequest:
     attempts: int = 0
     #: Admission-time cost estimate (overlap timing model seconds).
     estimated_cost_seconds: float = 0.0
+    #: The same call priced under the no-overlap (sum) model.
+    serial_cost_seconds: float = 0.0
     #: The deadline is re-based here on retry (client re-issues).
     effective_arrival_seconds: float = 0.0
     #: Tenant label the books attribute this call to (``None``: untagged).
     tenant: Optional[str] = None
     #: Preferred pool worker id (a placement *hint*, not a constraint).
     placement: Optional[int] = None
+    #: Which requests may share this one's wave (set from the call and
+    #: the placement hint).
+    coalescing_key: CoalescingKey = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.effective_arrival_seconds = self.arrival_seconds
+        self.coalescing_key = (BatchKey.of(self.call), self.placement)
 
     @property
     def absolute_deadline(self) -> Optional[float]:

@@ -78,11 +78,15 @@ class TestRequestQueue:
         assert queue.pop_next().request_id == 1
 
     def test_pop_compatible_preserves_order_and_remainder(self):
+        # Even ids are grad calls and odd ids box calls: two keys.
         queue = RequestQueue()
-        for i in range(5):
-            queue.offer(_request(i, _grad()))
-        evens = queue.pop_compatible(
-            lambda r: r.request_id % 2 == 0, limit=2)
+        frame = noise_frame(QCIF, seed=1)
+        requests = [_request(i, BatchCall.intra(
+            INTRA_BOX3 if i % 2 else INTRA_GRAD, frame))
+            for i in range(5)]
+        for request in requests:
+            queue.offer(request)
+        evens = queue.pop_compatible(requests[0].coalescing_key, limit=2)
         assert [r.request_id for r in evens] == [0, 2]
         assert [r.request_id for r in queue] == [1, 3, 4]
 

@@ -77,9 +77,11 @@ class TestSpaceListeners:
         queue = RequestQueue(policy=ServicePolicy(queue_depth=3))
         fired = []
         queue.add_space_listener(lambda: fired.append(1))
-        for request_id in range(3):
-            queue.offer(_request(request_id))
-        popped = queue.pop_compatible(lambda r: True, limit=3)
+        requests = [_request(request_id) for request_id in range(3)]
+        for request in requests:
+            queue.offer(request)
+        popped = queue.pop_compatible(requests[0].coalescing_key,
+                                      limit=3)
         assert len(popped) == 3
         assert fired == [1]
 
